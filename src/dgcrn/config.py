@@ -67,10 +67,12 @@ class AppConfig:
         for name in ("train", "val", "test"):
             if getattr(d, name) <= 0:
                 raise ConfigError("data.%s must be positive" % name)
-        if not 0.0 <= d.kappa < 1.0:
-            raise ConfigError("data.kappa must lie in [0, 1); got %r" % d.kappa)
-        if d.n_nodes < 1 or d.n_days < 1 or d.dt_seconds < 1:
-            raise ConfigError("data.n_nodes, n_days, dt_seconds must be >= 1")
+        if not 0.0 < d.kappa < 1.0:
+            raise ConfigError("data.kappa must lie in (0, 1); got %r" % d.kappa)
+        if d.n_nodes < 2:
+            raise ConfigError("data.n_nodes must be >= 2; got %r" % d.n_nodes)
+        if d.n_days < 1 or d.dt_seconds < 1:
+            raise ConfigError("data.n_days, dt_seconds must be >= 1")
         if not 0.0 <= d.congestion_rate <= 1.0:
             raise ConfigError("data.congestion_rate must lie in [0, 1]")
         if d.noise_std < 0:

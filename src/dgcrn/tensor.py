@@ -6,8 +6,11 @@ sum/mean, tanh/sigmoid/ReLU, and the broadcast Hadamard product used by the
 dynamic filters. That closure is exactly what the model forward pass needs.
 
 Gradients accumulate additively across fan-out and are zeroed explicitly by
-the caller. `finite_diff_grad` is the independent oracle every backward
-rule is checked against. Float64 is the default and the precision used by
+the caller. After `backward` only leaf tensors keep `.grad`: interior nodes
+release it, their parents and their closure as the sweep passes. A `.grad`
+array may be shared or read-only, so callers rebind it and never mutate it
+in place. `finite_diff_grad` is the independent oracle every backward rule
+is checked against. Float64 is the default and the precision used by
 gradient checks; float32 is accepted everywhere for faster training runs.
 """
 from __future__ import annotations
@@ -92,7 +95,10 @@ class Tensor:
         """Reverse-mode sweep from a scalar root.
 
         Iterative post-order traversal; the recurrences unroll P+Q cell
-        steps so recursion depth is not safe here.
+        steps so recursion depth is not safe here. An interior node drops
+        its grad, parents and closure once it has propagated, breaking the
+        closure<->output cycle so the tape is freed by reference count during
+        the sweep. Only leaves keep `.grad`, which may be shared or read-only.
         """
         if self.data.size != 1:
             raise DimensionError(
@@ -114,9 +120,11 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node.grad, node._parents, node._backward = None, (), None
 
     # -- elementwise arithmetic -------------------------------------------
 
@@ -276,9 +284,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _accum(t: Tensor, g):
+    # out of place: the stored array may be shared with another operand
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.broadcast_to(g, t.data.shape).astype(t.data.dtype, copy=False)
+    else:
+        t.grad = t.grad + g
 
 
 def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:

@@ -69,19 +69,19 @@ def clip_global_norm(params, max_norm: float) -> float:
     if max_norm <= 0:
         raise ConfigError("max_norm must be positive; got %r" % (max_norm,))
     total = 0.0
-    grads = []
+    with_grad = []
     for _, p in params:
         if p.grad is None:
             continue
-        grads.append(p.grad)
+        with_grad.append(p)
         total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if not np.isfinite(norm):
         raise NumericError("gradient norm is non-finite")
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        for p in with_grad:
+            p.grad = p.grad * scale  # rebind: gradient arrays may be shared
     return norm
 
 
@@ -175,10 +175,11 @@ class TrainState:
 
 
 def _time_tensor(tod, n_nodes, dtype):
-    # S x Q -> S x Q x N x 1 constant input for the decoder
+    # S x Q -> S x Q x N x 1 read-only broadcast view; the decoder's
+    # T.narrow copies each step's slice
     s, q = tod.shape
-    arr = np.broadcast_to(tod[:, :, None, None], (s, q, n_nodes, 1))
-    return T.Tensor(np.ascontiguousarray(arr, dtype=dtype))
+    arr = np.asarray(tod, dtype=dtype)[:, :, None, None]
+    return T.Tensor(np.broadcast_to(arr, (s, q, n_nodes, 1)))
 
 
 def train_step(params: ModelParams, graph, batch, stats: NormStats,

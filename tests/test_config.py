@@ -138,22 +138,20 @@ def test_unknown_ablation_lists_names():
 
 
 def test_validate_rejects_bad_values():
-    cfg = default_config()
-    cfg.data.split = "sideways"
-    with pytest.raises(ConfigError, match=r"data\.split"):
-        cfg.validate()
-    cfg = default_config()
-    cfg.data.kappa = 1.5
-    with pytest.raises(ConfigError, match="kappa"):
-        cfg.validate()
-    cfg = default_config()
-    cfg.eval.split = "dev"
-    with pytest.raises(ConfigError, match=r"eval\.split"):
-        cfg.validate()
-    cfg = default_config()
-    cfg.eval.horizons = [0]
-    with pytest.raises(ConfigError, match="horizons"):
-        cfg.validate()
+    cases = [
+        ("data", "split", "sideways", r"data\.split"),
+        ("data", "kappa", 1.5, "kappa"),
+        # build_adjacency needs kappa in (0, 1); graphs and models need 2 nodes
+        ("data", "kappa", 0.0, "kappa"),
+        ("data", "n_nodes", 1, "n_nodes"),
+        ("eval", "split", "dev", r"eval\.split"),
+        ("eval", "horizons", [0], "horizons"),
+    ]
+    for section, key, value, match in cases:
+        cfg = default_config()
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
 
 
 def test_help_lists_every_key():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dgcrn import tensor as T
+from dgcrn import training as TR
 from dgcrn.errors import DimensionError, NumericError
 
 
@@ -201,6 +202,32 @@ def test_fanout_accumulates_additively():
     z.backward()
     # z = 4x^2, dz/dx = 8x = 24
     assert np.allclose(x.grad, [24.0])
+
+    # graphs whose leaves end up sharing one stored gradient array; clipping
+    # must scale each leaf's gradient exactly once
+    rng = np.random.default_rng(15)
+    a, b = _leaf(rng, (2, 3)), _leaf(rng, (2, 3))
+    cases = [
+        (lambda: (a + b).sum(), [a, b]),
+        (lambda: (a + a).sum(), [a]),
+        (lambda: (a * b + a + T.tanh(a) + a.mT.sum()).sum(), [a, b]),
+        (lambda: a.sum(), [a]),
+    ]
+    for build, leaves in cases:
+        for t in leaves:
+            t.zero_grad()
+        build().backward()
+        fds = [T.finite_diff_grad(lambda _t: build(), t).data for t in leaves]
+        for t, fd in zip(leaves, fds):
+            assert t.grad.shape == t.shape
+            assert T.max_rel_err(t.grad, fd) < 1e-6
+        before = [np.array(t.grad) for t in leaves]
+        named = [(str(i), t) for i, t in enumerate(leaves)]
+        max_norm = 0.5 * np.sqrt(sum(np.square(g).sum() for g in before))
+        scale = max_norm / TR.clip_global_norm(named, max_norm)
+        for t, fd, g in zip(leaves, fds, before):
+            assert np.array_equal(t.grad, g * scale)
+            assert T.max_rel_err(t.grad, fd * scale) < 1e-6
 
 
 # -- ranges and stability --------------------------------------------------------

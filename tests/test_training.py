@@ -1,5 +1,6 @@
 """Optimizer, schedules, loss, and the training loop."""
 import copy
+import gc
 
 import numpy as np
 import pytest
@@ -209,6 +210,41 @@ def test_train_step_poisoned_weights_raise():
     batch = (ds.train.x[:4], ds.train.y[:4], ds.train.tod[:4], ds.train.mask[:4])
     with pytest.raises(NumericError):
         TR.train_step(params, graph, batch, ds.stats, opt, cfg, state)
+
+
+def test_train_step_tape_needs_no_cyclic_gc(monkeypatch):
+    # backward releases each interior node as it passes, so a step's tape is
+    # freed by reference count and leaves nothing for the cyclic collector
+    params, graph, ds = _tiny_setup()
+    cfg = TR.TrainConfig(batch_size=4, curriculum=False)
+    opt = TR.Adam(named_parameters(params), lr=cfg.learning_rate)
+    state = TR.TrainState(rng=np.random.default_rng(0))
+    batch = (ds.train.x[:4], ds.train.y[:4], ds.train.tod[:4], ds.train.mask[:4])
+    roots = []
+    backward = T.Tensor.backward
+
+    def recording_backward(self):
+        roots.append(self)
+        backward(self)
+
+    monkeypatch.setattr(T.Tensor, "backward", recording_backward)
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        TR.train_step(params, graph, batch, ds.stats, opt, cfg, state)
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds
+        gc.collect()
+        leaked = sum(isinstance(o, T.Tensor) for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == 0
+    assert all(p.grad is not None for _, p in named_parameters(params))
+    (loss,) = roots
+    assert loss.grad is None and loss._parents == ()
 
 
 def test_training_reduces_loss_on_learnable_signal():
