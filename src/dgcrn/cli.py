@@ -221,15 +221,12 @@ def _cmd_build_graph(args):
     return EXIT_OK
 
 
-def _cmd_train(args):
+def _fit_run(cfg, args):
+    """Load data and graph, build the dataset, init the model and fit it."""
     from . import model as M
-    from . import serialize as S
     from . import training as TR
     from .data import build_dataset
 
-    cfg = _load_cfg(args)
-    out = _ensure_out(args.out)
-    started = _now()
     series = _load_series(cfg)
     graph = _load_graph(cfg)
     dataset = build_dataset(series, cfg.model.input_len, cfg.model.output_len,
@@ -239,13 +236,30 @@ def _cmd_train(args):
                           dtype=_dtype(args))
     history, best_val = TR.fit(params, graph, dataset, cfg.train,
                                progress=None if args.quiet else _progress)
+    return series, graph, dataset, params, history, best_val
+
+
+def _save_run(out, ablation, params, dataset, history, best_val):
+    """Write checkpoint.ckpt and training_log.csv; returns both paths."""
+    from . import serialize as S
+    from . import training as TR
+
     ckpt_path = os.path.join(out, "checkpoint.ckpt")
     log_path = os.path.join(out, "training_log.csv")
     S.save_checkpoint(ckpt_path, params, dataset.stats,
-                      extra={"ablation": args.ablation or "",
+                      extra={"ablation": ablation,
                              "best_val_mae": best_val,
                              "epochs": len(history)})
     TR.write_training_log(log_path, history)
+    return ckpt_path, log_path
+
+
+def _cmd_train(args):
+    cfg = _load_cfg(args)
+    out = _ensure_out(args.out)
+    started = _now()
+    _, _, dataset, params, history, best_val = _fit_run(cfg, args)
+    ckpt_path, log_path = _save_run(out, args.ablation or "", params, dataset, history, best_val)
     _write_manifest(out, "train", cfg, cfg.train.seed,
                     [cfg.data.speeds, cfg.data.distances],
                     [ckpt_path, log_path], started)
@@ -353,23 +367,13 @@ def _cmd_gradcheck(args):
 
 def _cmd_bench(args):
     from . import metrics as MT
-    from . import model as M
-    from . import serialize as S
     from . import training as TR
-    from .data import build_dataset, split
+    from .data import split
 
     cfg = _load_cfg(args)
     out = _ensure_out(args.out)
     started = _now()
-    series = _load_series(cfg)
-    graph = _load_graph(cfg)
-    dataset = build_dataset(series, cfg.model.input_len, cfg.model.output_len,
-                            cfg.data.split, cfg.data.train, cfg.data.val,
-                            cfg.data.test)
-    params = M.init_model(cfg.model, dataset.n_nodes, seed=cfg.train.seed,
-                          dtype=_dtype(args))
-    history, best_val = TR.fit(params, graph, dataset, cfg.train,
-                               progress=None if args.quiet else _progress)
+    series, graph, dataset, params, history, best_val = _fit_run(cfg, args)
     samples = getattr(dataset, cfg.eval.split)
     _, rows = TR.evaluate(params, graph, samples, dataset.stats,
                           batch_size=cfg.eval.batch_size, model_name="DGCRN")
@@ -387,13 +391,8 @@ def _cmd_bench(args):
     horizons = _resolve_horizons(args.horizons, cfg.eval.horizons,
                                  cfg.model.output_len)
     rows = [r for r in rows if r[1] in horizons]
-    ckpt_path = os.path.join(out, "checkpoint.ckpt")
-    log_path = os.path.join(out, "training_log.csv")
+    ckpt_path, log_path = _save_run(out, "", params, dataset, history, best_val)
     report_path = os.path.join(out, "report.csv")
-    S.save_checkpoint(ckpt_path, params, dataset.stats,
-                      extra={"ablation": "", "best_val_mae": best_val,
-                             "epochs": len(history)})
-    TR.write_training_log(log_path, history)
     MT.write_report_csv(report_path, rows)
     _write_manifest(out, "bench", cfg, cfg.train.seed,
                     [cfg.data.speeds, cfg.data.distances],

@@ -64,12 +64,12 @@ def dgconv_forward(h_in, dyn, stat, p: ConvParams, direction: str = "forward"):
     if dyn is not None and p.beta_mix > 0.0:
         dyn_m = dyn.normalized if direction == "forward" else dyn.normalized_bwd
 
+    # the skip term is the same at every hop: build it once
+    skip = h_in * p.alpha_mix if p.alpha_mix != 0.0 and p.hops >= 1 else None
     h = h_in
     out = T.matmul(h_in, p.hop_weights[0])
     for k in range(1, len(p.hop_weights)):
-        acc = None
-        if p.alpha_mix != 0.0:
-            acc = h_in * p.alpha_mix
+        acc = skip
         if dyn_m is not None:
             term = T.matmul(dyn_m, h) * p.beta_mix
             acc = term if acc is None else acc + term

@@ -75,31 +75,6 @@ class GeneratorParams:
             raise ConfigError("filter_mode %r requires both hyper-networks" % self.filter_mode)
 
 
-def assemble_hyper_input(speed, time_of_day, hidden):
-    """Concatenate speed, time-of-day, and previous hidden state along features.
-
-    speed, time_of_day: B x N x 1; hidden: B x N x h -> B x N x (2+h).
-    """
-    for name, t, width in (
-        ("speed", speed, 1),
-        ("time_of_day", time_of_day, 1),
-        ("hidden", hidden, None),
-    ):
-        if t.ndim != 3:
-            raise DimensionError("%s: expected B x N x C, got shape %r" % (name, t.shape))
-        if width is not None and t.shape[-1] != width:
-            raise DimensionError(
-                "%s: expected feature width %d, got shape %r" % (name, width, t.shape)
-            )
-    b, n = speed.shape[0], speed.shape[1]
-    for name, t in (("time_of_day", time_of_day), ("hidden", hidden)):
-        if t.shape[0] != b or t.shape[1] != n:
-            raise DimensionError(
-                "%s has shape %r, expected leading dims (%d, %d)" % (name, t.shape, b, n)
-            )
-    return T.concat([speed, time_of_day, hidden], axis=-1)
-
-
 def hyper_forward(inp, graph, params: HyperNetParams):
     """Dynamic filter from the hyper-network: static-only conv, then projection."""
     if inp.ndim != 3 or inp.shape[-2] != graph.n_nodes:
@@ -136,7 +111,7 @@ def _modulate(df, emb, params: GeneratorParams):
         row = emb.reshape(1, n, 1, d_e)
         prod = T.matmul(row, mat).reshape(b, n, d_e)
     else:
-        prod = T.broadcast_hadamard(df, emb)
+        prod = df * emb
     return T.tanh(prod * params.alpha_sat)
 
 

@@ -15,12 +15,7 @@ import numpy as np
 from . import tensor as T
 from .conv import ConvParams, dual_dgconv
 from .errors import ConfigError, DimensionError
-from .generator import (
-    GeneratorParams,
-    HyperNetParams,
-    assemble_hyper_input,
-    generate,
-)
+from .generator import GeneratorParams, HyperNetParams, generate
 from .tensor import Tensor
 
 INPUT_WIDTH = 2  # speed plus time-of-day, both encoder and decoder
@@ -250,13 +245,9 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
         raise DimensionError(
             "input has %d nodes, graph has %d" % (x_t.shape[1], graph.n_nodes)
         )
-    dyn = None
-    if cell.gen is not None:
-        speed = T.narrow(x_t, -1, 0, 1)
-        tod = T.narrow(x_t, -1, 1, 1)
-        hyper_in = assemble_hyper_input(speed, tod, h_prev)
-        dyn = generate(hyper_in, graph, cell.gen)
+    # [speed, time-of-day, hidden]: the generator and the z/r gates read it
     xh = T.concat([x_t, h_prev], axis=-1)
+    dyn = None if cell.gen is None else generate(xh, graph, cell.gen)
     z = T.sigmoid(dual_dgconv(xh, dyn, graph, *cell.theta_z))
     r = T.sigmoid(dual_dgconv(xh, dyn, graph, *cell.theta_r))
     xrh = T.concat([x_t, r * h_prev], axis=-1)

@@ -2,8 +2,8 @@
 
 The kernel set is deliberately small: elementwise arithmetic, matmul over
 the last two axes (with leading-axis broadcasting), concat/stack/narrow,
-sum/mean, tanh/sigmoid/ReLU, and the broadcast Hadamard product used by the
-dynamic filters. That closure is exactly what the model forward pass needs.
+sum/mean and tanh/sigmoid/ReLU. That closure is exactly what the model
+forward pass needs.
 
 Gradients accumulate additively across fan-out and are zeroed explicitly by
 the caller. After `backward` only leaf tensors keep `.grad`: interior nodes
@@ -384,25 +384,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     out = _from_op(data, (a, b), bw)
     return out
-
-
-def broadcast_hadamard(filt: Tensor, embedding: Tensor) -> Tensor:
-    """Position-wise product of a batched filter with per-node embeddings.
-
-    filt is B x N x D (or any shape with trailing N x D), embedding is
-    N x D and broadcasts over the leading axes.
-    """
-    if embedding.data.ndim != 2:
-        raise DimensionError(
-            "broadcast_hadamard: embedding must be 2-d; got shape %r"
-            % (embedding.shape,)
-        )
-    if filt.data.ndim < 2 or filt.data.shape[-2:] != embedding.data.shape:
-        raise DimensionError(
-            "broadcast_hadamard: trailing dims of filter %r do not match embedding %r"
-            % (filt.shape, embedding.shape)
-        )
-    return filt * embedding
 
 
 # -- assembly ops ------------------------------------------------------------

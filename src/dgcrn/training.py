@@ -160,6 +160,10 @@ class TrainConfig:
             raise ConfigError("ss_decay_tau must be positive; got %r" % (self.ss_decay_tau,))
         if self.grad_clip_norm <= 0:
             raise ConfigError("grad_clip_norm must be positive; got %r" % (self.grad_clip_norm,))
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("betas must lie in [0,1); got %r, %r" % (self.beta1, self.beta2))
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive; got %r" % (self.eps,))
         return self
 
 

@@ -22,7 +22,7 @@ from dgcrn import tensor as T
 from dgcrn import training as TR
 from dgcrn.cli import main, run_gradcheck
 from dgcrn.config import apply_ablation, default_config
-from dgcrn.generator import GeneratorParams, assemble_hyper_input, generate
+from dgcrn.generator import GeneratorParams, generate
 from dgcrn.model import HyperParams
 from dgcrn.tensor import Tensor
 
@@ -53,7 +53,7 @@ def test_02_dynamic_graph_invariants():
             speed = Tensor(scale * rng.normal(size=(batch, n, 1)))
             tod = Tensor(rng.uniform(0.0, 1.0, (batch, n, 1)))
             hidden = Tensor(scale * rng.normal(size=(batch, n, hp.hidden)))
-            dyn = generate(assemble_hyper_input(speed, tod, hidden), graph, gen)
+            dyn = generate(T.concat([speed, tod, hidden], axis=-1), graph, gen)
             raw = dyn.raw.data
             assert np.all(np.diagonal(raw, axis1=1, axis2=2) == 0.0)
             assert np.all(raw * raw.transpose(0, 2, 1) == 0.0)

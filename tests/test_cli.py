@@ -285,6 +285,17 @@ def test_bench_reports_three_models(workdir, tmp_path, capsys):
     assert (out / "training_log.csv").exists()
 
 
+def test_bench_trains_like_train(workdir, tmp_path):
+    trained, benched = tmp_path / "train", tmp_path / "bench"
+    assert _train(workdir, trained) == 0
+    assert main(["bench", "--config", workdir["cfg"], "--seed", "1",
+                 "--out", str(benched), "--quiet"]) == 0
+    assert (trained / "checkpoint.ckpt").read_bytes() == \
+        (benched / "checkpoint.ckpt").read_bytes()
+    assert _log_sans_seconds(str(trained / "training_log.csv")) == \
+        _log_sans_seconds(str(benched / "training_log.csv"))
+
+
 def test_analyze(workdir, tmp_path, capsys):
     out = tmp_path / "an"
     rc = main(["analyze", "--config", workdir["cfg"], "--out", str(out)])

@@ -146,6 +146,10 @@ def test_validate_rejects_bad_values():
         ("data", "n_nodes", 1, "n_nodes"),
         ("eval", "split", "dev", r"eval\.split"),
         ("eval", "horizons", [0], "horizons"),
+        # Adam rejects these; validation must catch them before data loads
+        ("train", "beta1", 1.0, "betas"),
+        ("train", "beta2", -0.1, "betas"),
+        ("train", "eps", 0.0, "eps"),
     ]
     for section, key, value, match in cases:
         cfg = default_config()

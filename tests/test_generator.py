@@ -10,7 +10,6 @@ from dgcrn.generator import (
     DynamicGraph,
     GeneratorParams,
     HyperNetParams,
-    assemble_hyper_input,
     dynamic_adjacency,
     dynamic_embeddings,
     generate,
@@ -45,35 +44,6 @@ def _gen_params(rng, n, d_e, d_in, d_h, mode="hadamard", alpha_sat=2.0):
         alpha_sat=alpha_sat,
         filter_mode=mode,
     )
-
-
-# -- assemble_hyper_input --------------------------------------------------------
-
-def test_assemble_shapes_and_order():
-    b, n, h = 1, 2, 3
-    speed = T.zeros((b, n, 1))
-    tod = T.zeros((b, n, 1))
-    hidden = T.zeros((b, n, h))
-    out = assemble_hyper_input(speed, tod, hidden)
-    assert out.shape == (1, 2, 5)
-
-    speed = T.Tensor([[[5.0]]])
-    tod = T.Tensor([[[0.5]]])
-    hidden = T.Tensor([[[0.0, 0.0]]])
-    out = assemble_hyper_input(speed, tod, hidden)
-    assert np.array_equal(out.data, [[[5.0, 0.5, 0.0, 0.0]]])
-
-
-def test_assemble_names_offending_operand():
-    b, n = 2, 3
-    speed = T.zeros((b, n, 1))
-    tod = T.zeros((b, n, 1))
-    with pytest.raises(DimensionError) as ei:
-        assemble_hyper_input(speed, tod, T.zeros((b, n + 1, 4)))
-    assert "hidden" in str(ei.value)
-    with pytest.raises(DimensionError) as ei:
-        assemble_hyper_input(speed, T.zeros((b, n, 2)), T.zeros((b, n, 4)))
-    assert "time_of_day" in str(ei.value)
 
 
 # -- hyper_forward ----------------------------------------------------------------

@@ -94,16 +94,21 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
     g = _graph(rng, 3)
     params = M.init_model(_tiny_hp(output_len=4), 3, seed=3, dtype=np.float64)
     calls = {"n": 0}
+    inputs = []
     real = M.generate
 
-    def counting(*a, **kw):
+    def counting(inp, *a, **kw):
         calls["n"] += 1
-        return real(*a, **kw)
+        inputs.append(inp.data.copy())
+        return real(inp, *a, **kw)
 
     monkeypatch.setattr(M, "generate", counting)
     x = T.Tensor(rng.normal(size=(1, 3, 3, 2)))
     h, _ = M.encode(x, g, params)
     assert calls["n"] == 3
+    # the generator reads [speed, time-of-day, hidden]; the first hidden is 0
+    first = np.concatenate([x.data[:, 0], np.zeros((1, 3, 4))], axis=-1)
+    assert np.array_equal(inputs[0], first)
     tod = T.Tensor(rng.uniform(0, 1, (1, 4, 3, 1)))
     M.decode(h, tod, g, params, horizon=2)
     assert calls["n"] == 3 + 2

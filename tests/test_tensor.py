@@ -74,25 +74,25 @@ def test_matmul_shape_errors():
         T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 4, 5))))
 
 
-# -- broadcast_hadamard --------------------------------------------------------
+# -- broadcast product of batched filters with per-node embeddings -------------
 
 def test_hadamard_identity_and_zero_filter():
     rng = np.random.default_rng(2)
     emb = T.Tensor(rng.normal(size=(4, 3)))
     ones = T.Tensor(np.ones((2, 4, 3)))
-    out = T.broadcast_hadamard(ones, emb)
+    out = ones * emb
     assert out.shape == (2, 4, 3)
     assert np.array_equal(out.data[0], emb.data)
     assert np.array_equal(out.data[1], emb.data)
     zero = T.Tensor(np.zeros((2, 4, 3)))
-    assert not np.any(T.broadcast_hadamard(zero, emb).data)
+    assert not np.any((zero * emb).data)
 
 
 def test_hadamard_hand_example():
     filt = T.Tensor(np.zeros((1, 1, 2)))
     filt.data[0, 0] = [2.0, 3.0]
     emb = T.Tensor(np.array([[1.0, -1.0]]))
-    out = T.broadcast_hadamard(filt, emb)
+    out = filt * emb
     assert np.array_equal(out.data[0, 0], [2.0, -3.0])
 
 
@@ -100,12 +100,13 @@ def test_hadamard_shape_error_and_grads():
     rng = np.random.default_rng(3)
     filt = _leaf(rng, (2, 4, 3))
     emb = _leaf(rng, (4, 3))
-    with pytest.raises(DimensionError):
-        T.broadcast_hadamard(filt, _leaf(rng, (3, 4)))
-    _fd_check(lambda: T.broadcast_hadamard(filt, emb).sum(), [filt, emb])
+    # numpy's broadcast check is the only shape check the product needs
+    with pytest.raises(ValueError):
+        filt * _leaf(rng, (3, 4))
+    _fd_check(lambda: (filt * emb).sum(), [filt, emb])
     # gradient w.r.t. the embedding sums over the batch axis
     emb.zero_grad()
-    out = T.broadcast_hadamard(filt, emb).sum()
+    out = (filt * emb).sum()
     out.backward()
     assert np.allclose(emb.grad, filt.data.sum(axis=0))
 
@@ -149,7 +150,7 @@ def test_composite_graph_grads_match_fd(seed):
     def build():
         c = T.concat([a, b * 2.0], axis=-1)          # (2,3,4)
         h = T.tanh(T.matmul(c, w))                   # (2,3,2)
-        f = T.broadcast_hadamard(T.sigmoid(h), e)
+        f = T.sigmoid(h) * e                         # (2,3,2)
         s = T.stack([f, T.relu(h + 0.3)], axis=0)    # (2,2,3,2)
         n = T.narrow(s, axis=-1, start=0, length=1)
         back = T.matmul(h, w.mT)                     # (2,3,4)
