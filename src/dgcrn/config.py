@@ -73,8 +73,9 @@ class AppConfig:
             raise ConfigError("data.n_nodes must be >= 2; got %r" % d.n_nodes)
         if d.n_days < 1 or d.dt_seconds < 1:
             raise ConfigError("data.n_days, dt_seconds must be >= 1")
-        if not 0.0 <= d.congestion_rate <= 1.0:
-            raise ConfigError("data.congestion_rate must lie in [0, 1]")
+        if not 0.0 <= d.congestion_rate < 1.0:
+            raise ConfigError("data.congestion_rate must lie in [0, 1); got %r"
+                              % d.congestion_rate)
         if d.noise_std < 0:
             raise ConfigError("data.noise_std must be >= 0")
         e = self.eval

@@ -110,6 +110,21 @@ def read_container(path, magic: bytes):
     return records
 
 
+def _read_meta(path, records) -> dict:
+    """The JSON metadata every checkpoint and graph file starts with."""
+    if not records or records[0][0] != _META_NAME or not isinstance(records[0][1], bytes):
+        raise ConfigError("%s: missing metadata record" % path)
+    try:
+        meta = json.loads(records[0][1].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError("%s: corrupt metadata: %s" % (path, e)) from None
+    if not isinstance(meta, dict):
+        raise ConfigError("%s: corrupt metadata: not a JSON object" % path)
+    if meta.get("format") != 1:
+        raise ConfigError("%s: unsupported format %r" % (path, meta.get("format")))
+    return meta
+
+
 # -- checkpoints -------------------------------------------------------------------
 
 
@@ -136,14 +151,7 @@ def load_checkpoint(path):
     """Returns (params, stats, extra). Rebuilds the module tree, then
     overwrites every parameter array, insisting on an exact name match."""
     records = read_container(path, MAGIC_CHECKPOINT)
-    if not records or records[0][0] != _META_NAME:
-        raise ConfigError("%s: missing metadata record" % path)
-    try:
-        meta = json.loads(records[0][1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError("%s: corrupt metadata: %s" % (path, e)) from None
-    if meta.get("format") != 1:
-        raise ConfigError("%s: unsupported format %r" % (path, meta.get("format")))
+    meta = _read_meta(path, records)
     try:
         hp = HyperParams(**meta["hp"])
         n_nodes = int(meta["n_nodes"])
@@ -216,4 +224,9 @@ def load_graph_bin(path) -> StaticGraph:
     named = dict(records)
     if "adjacency" not in named or isinstance(named["adjacency"], bytes):
         raise ConfigError("%s: missing adjacency record" % path)
-    return StaticGraph(named["adjacency"])
+    meta = _read_meta(path, records)
+    graph = StaticGraph(named["adjacency"])
+    if meta.get("n_nodes") != graph.n_nodes:
+        raise ConfigError("%s: metadata says %r nodes but the adjacency has %d"
+                          % (path, meta.get("n_nodes"), graph.n_nodes))
+    return graph

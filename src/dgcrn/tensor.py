@@ -2,12 +2,18 @@
 
 The kernel set is deliberately small: elementwise arithmetic, matmul over
 the last two axes (with leading-axis broadcasting), concat/stack/narrow,
-sum/mean and tanh/sigmoid/ReLU. That closure is exactly what the model
+sum/mean and tanh/sigmoid/ReLU/absolute. That set is exactly what the model
 forward pass needs.
+
+An op records one gradient rule per parent: a function from the output
+gradient to that parent's gradient, which `_accum` then sums over any
+broadcast axes. No rule holds the op's output, so a tape never forms a
+reference cycle and a forward that is never backpropagated is freed by
+reference count as soon as it is dropped.
 
 Gradients accumulate additively across fan-out and are zeroed explicitly by
 the caller. After `backward` only leaf tensors keep `.grad`: interior nodes
-release it, their parents and their closure as the sweep passes. A `.grad`
+release it, their parents and their rules as the sweep passes. A `.grad`
 array may be shared or read-only, so callers rebind it and never mutate it
 in place. `finite_diff_grad` is the independent oracle every backward rule
 is checked against. Float64 is the default and the precision used by
@@ -39,7 +45,7 @@ def no_grad():
 
 
 class Tensor:
-    """A numpy array plus an optional gradient and backward closure."""
+    """A numpy array plus an optional gradient and one gradient rule per parent."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -76,9 +82,6 @@ class Tensor:
             )
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -95,10 +98,11 @@ class Tensor:
         """Reverse-mode sweep from a scalar root.
 
         Iterative post-order traversal; the recurrences unroll P+Q cell
-        steps so recursion depth is not safe here. An interior node drops
-        its grad, parents and closure once it has propagated, breaking the
-        closure<->output cycle so the tape is freed by reference count during
-        the sweep. Only leaves keep `.grad`, which may be shared or read-only.
+        steps so recursion depth is not safe here. Each interior node hands
+        its grad to every parent that requires one through that parent's
+        rule, then drops its grad, parents and rules, so the tape is freed by
+        reference count during the sweep. Only leaves keep `.grad`, which may
+        be shared or read-only.
         """
         if self.data.size != 1:
             raise DimensionError(
@@ -123,87 +127,42 @@ class Tensor:
         while topo:
             node = topo.pop()
             if node._backward is not None:
-                node._backward()
+                g = node.grad
+                for p, rule in zip(node._parents, node._backward):
+                    if p.requires_grad:
+                        _accum(p, rule(g))
                 node.grad, node._parents, node._backward = None, (), None
 
     # -- elementwise arithmetic -------------------------------------------
 
     def __add__(self, other):
         a, b = self, _as_tensor(other, self.data.dtype)
-        data = a.data + b.data
-
-        def bw():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
-
-        out = _from_op(data, (a, b), bw)
-        return out
+        return _from_op(a.data + b.data, (a, b), (_identity, _identity))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self, _as_tensor(other, self.data.dtype)
-        data = a.data - b.data
-
-        def bw():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g, b.data.shape))
-
-        out = _from_op(data, (a, b), bw)
-        return out
+        return _from_op(a.data - b.data, (a, b), (_identity, np.negative))
 
     def __rsub__(self, other):
         return _as_tensor(other, self.data.dtype) - self
 
     def __mul__(self, other):
         a, b = self, _as_tensor(other, self.data.dtype)
-        data = a.data * b.data
-
-        def bw():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-        out = _from_op(data, (a, b), bw)
-        return out
+        return _from_op(a.data * b.data, (a, b),
+                        (lambda g: g * b.data, lambda g: g * a.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, _as_tensor(other, self.data.dtype)
         data = a.data / b.data
-
-        def bw():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g * out.data / b.data, b.data.shape))
-
-        out = _from_op(data, (a, b), bw)
-        return out
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other, self.data.dtype) / self
+        return _from_op(data, (a, b),
+                        (lambda g: g / b.data, lambda g: -g * data / b.data))
 
     def __neg__(self):
-        a = self
-        data = -a.data
-
-        def bw():
-            if a.requires_grad:
-                _accum(a, -out.grad)
-
-        out = _from_op(data, (a,), bw)
-        return out
+        return _from_op(-self.data, (self,), (np.negative,))
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other, self.data.dtype))
@@ -213,47 +172,27 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        orig = a.data.shape
-        data = a.data.reshape(shape)
-
-        def bw():
-            if a.requires_grad:
-                _accum(a, out.grad.reshape(orig))
-
-        out = _from_op(data, (a,), bw)
-        return out
+        orig = self.data.shape
+        return _from_op(self.data.reshape(shape), (self,), (lambda g: g.reshape(orig),))
 
     @property
     def mT(self) -> "Tensor":
         """Transpose of the last two axes."""
-        a = self
-        if a.data.ndim < 2:
-            raise DimensionError("mT requires ndim >= 2; got shape %r" % (a.shape,))
-        data = np.swapaxes(a.data, -1, -2)
-
-        def bw():
-            if a.requires_grad:
-                _accum(a, np.swapaxes(out.grad, -1, -2))
-
-        out = _from_op(data, (a,), bw)
-        return out
+        if self.data.ndim < 2:
+            raise DimensionError("mT requires ndim >= 2; got shape %r" % (self.shape,))
+        return _from_op(np.swapaxes(self.data, -1, -2), (self,), (_swap_last,))
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
+        shape = self.data.shape
+        expand = axis is not None and not keepdims
 
-        def bw():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            if a.requires_grad:
-                _accum(a, g)
+        def rule(g):
+            return np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape)
 
-        out = _from_op(data, (a,), bw)
-        return out
+        return _from_op(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)),
+                        (self,), (rule,))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         s = self.sum(axis=axis, keepdims=keepdims)
@@ -270,9 +209,17 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _identity(g):
+    return g
+
+
+def _swap_last(g):
+    return np.swapaxes(g, -1, -2)
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     # reduce a gradient back to the operand shape after numpy broadcasting
-    if g.shape == tuple(shape):
+    if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
@@ -285,18 +232,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def _accum(t: Tensor, g):
     # out of place: the stored array may be shared with another operand
+    g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         t.grad = np.broadcast_to(g, t.data.shape).astype(t.data.dtype, copy=False)
     else:
         t.grad = t.grad + g
 
 
-def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
+def _from_op(data: np.ndarray, parents: tuple, rules: tuple) -> Tensor:
+    # rules[i] maps the output gradient to parents[i]'s gradient before
+    # unbroadcasting; no rule holds the output, so a tape has no cycles
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
-        out._backward = backward
+        out._backward = rules
     return out
 
 
@@ -304,53 +254,23 @@ def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def tanh(t: Tensor) -> Tensor:
-    a = t
-    data = np.tanh(a.data)
-
-    def bw():
-        if a.requires_grad:
-            _accum(a, out.grad * (1.0 - data * data))
-
-    out = _from_op(data, (a,), bw)
-    return out
+    data = np.tanh(t.data)
+    return _from_op(data, (t,), (lambda g: g * (1.0 - data * data),))
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    a = t
     # exp(-|x|) never overflows, so both branches are stable
-    z = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-    def bw():
-        if a.requires_grad:
-            _accum(a, out.grad * data * (1.0 - data))
-
-    out = _from_op(data, (a,), bw)
-    return out
+    z = np.exp(-np.abs(t.data))
+    data = np.where(t.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return _from_op(data, (t,), (lambda g: g * data * (1.0 - data),))
 
 
 def relu(t: Tensor) -> Tensor:
-    a = t
-    data = np.maximum(a.data, 0)
-
-    def bw():
-        if a.requires_grad:
-            _accum(a, out.grad * (a.data > 0))
-
-    out = _from_op(data, (a,), bw)
-    return out
+    return _from_op(np.maximum(t.data, 0), (t,), (lambda g: g * (t.data > 0),))
 
 
 def absolute(t: Tensor) -> Tensor:
-    a = t
-    data = np.abs(a.data)
-
-    def bw():
-        if a.requires_grad:
-            _accum(a, out.grad * np.sign(a.data))
-
-    out = _from_op(data, (a,), bw)
-    return out
+    return _from_op(np.abs(t.data), (t,), (lambda g: g * np.sign(t.data),))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -358,113 +278,62 @@ def absolute(t: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes with leading-axis broadcasting."""
+    # numpy would treat a 1-D operand as a vector
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
             "matmul requires ndim >= 2; got shapes %r and %r" % (a.shape, b.shape)
-        )
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
-            "matmul: inner dimensions disagree for shapes %r and %r"
-            % (a.shape, b.shape)
         )
     try:
         data = np.matmul(a.data, b.data)
     except ValueError:
         raise DimensionError(
-            "matmul: leading dimensions not broadcastable for shapes %r and %r"
-            % (a.shape, b.shape)
+            "matmul: shapes %r and %r do not align" % (a.shape, b.shape)
         ) from None
-
-    def bw():
-        g = out.grad
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
-
-    out = _from_op(data, (a, b), bw)
-    return out
+    return _from_op(data, (a, b),
+                    (lambda g: np.matmul(g, _swap_last(b.data)),
+                     lambda g: np.matmul(_swap_last(a.data), g)))
 
 
 # -- assembly ops ------------------------------------------------------------
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat of an empty sequence")
-    nd = tensors[0].data.ndim
-    ax = axis % nd
-    ref = tensors[0].data.shape
-    for i, t in enumerate(tensors[1:], start=1):
-        s = t.data.shape
-        if len(s) != nd or any(s[d] != ref[d] for d in range(nd) if d != ax):
-            raise DimensionError(
-                "concat: operand %d has shape %r, incompatible with operand 0 shape %r"
-                " along non-concat axes" % (i, s, ref)
-            )
-    data = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.data.shape[ax] for t in tensors]
-
-    def bw():
-        g = out.grad
-        offset = 0
-        for t, n in zip(tensors, sizes):
-            if t.requires_grad:
-                idx = [slice(None)] * nd
-                idx[ax] = slice(offset, offset + n)
-                _accum(t, g[tuple(idx)])
-            offset += n
-
-    out = _from_op(data, tuple(tensors), bw)
-    return out
+    tensors = tuple(tensors)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    ax = axis % data.ndim
+    rules, offset = [], 0
+    for t in tensors:
+        n = t.data.shape[ax]
+        idx = (slice(None),) * ax + (slice(offset, offset + n),)
+        rules.append(lambda g, idx=idx: g[idx])
+        offset += n
+    return _from_op(data, tensors, tuple(rules))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("stack of an empty sequence")
-    ref = tensors[0].data.shape
-    for i, t in enumerate(tensors[1:], start=1):
-        if t.data.shape != ref:
-            raise DimensionError(
-                "stack: operand %d has shape %r, expected %r" % (i, t.data.shape, ref)
-            )
+    tensors = tuple(tensors)
     data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bw():
-        g = out.grad
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                _accum(t, np.take(g, i, axis=axis))
-
-    out = _from_op(data, tuple(tensors), bw)
-    return out
+    return _from_op(data, tensors, tuple(
+        lambda g, i=i: np.take(g, i, axis=axis) for i in range(len(tensors))))
 
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    a = t
-    nd = a.data.ndim
-    ax = axis % nd
-    if start < 0 or start + length > a.data.shape[ax]:
+    ax = axis % t.data.ndim
+    # numpy slicing would clip an out-of-range slice silently
+    if start < 0 or start + length > t.data.shape[ax]:
         raise DimensionError(
             "narrow: slice [%d, %d) out of range for axis %d of shape %r"
-            % (start, start + length, ax, a.shape)
+            % (start, start + length, ax, t.shape)
         )
-    idx = [slice(None)] * nd
-    idx[ax] = slice(start, start + length)
-    idx = tuple(idx)
-    data = a.data[idx].copy()
+    idx = (slice(None),) * ax + (slice(start, start + length),)
 
-    def bw():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[idx] = out.grad
-            _accum(a, g)
+    def rule(g):
+        full = np.zeros_like(t.data)
+        full[idx] = g
+        return full
 
-    out = _from_op(data, (a,), bw)
-    return out
+    return _from_op(t.data[idx].copy(), (t,), (rule,))
 
 
 def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:

@@ -144,6 +144,8 @@ def test_validate_rejects_bad_values():
         # build_adjacency needs kappa in (0, 1); graphs and models need 2 nodes
         ("data", "kappa", 0.0, "kappa"),
         ("data", "n_nodes", 1, "n_nodes"),
+        # synth_generate needs a congestion rate in [0, 1)
+        ("data", "congestion_rate", 1.0, r"data\.congestion_rate"),
         ("eval", "split", "dev", r"eval\.split"),
         ("eval", "horizons", [0], "horizons"),
         # Adam rejects these; validation must catch them before data loads

@@ -215,3 +215,18 @@ def test_graph_bin_missing_record(tmp_path):
     S.write_container(path, S.MAGIC_GRAPH, [("meta", b"{}")])
     with pytest.raises(ConfigError, match="adjacency"):
         S.load_graph_bin(path)
+
+
+@pytest.mark.parametrize("meta, match", [
+    ({"format": 2, "n_nodes": 3}, "format"),
+    ({"format": 1, "n_nodes": 5}, "nodes"),
+    (None, "metadata"),
+])
+def test_graph_bin_checks_metadata(tmp_path, meta, match):
+    path = tmp_path / "graph.bin"
+    records = [("adjacency", np.eye(3))]
+    if meta is not None:
+        records.insert(0, ("__meta__", json.dumps(meta).encode("utf-8")))
+    S.write_container(path, S.MAGIC_GRAPH, records)
+    with pytest.raises(ConfigError, match=match):
+        S.load_graph_bin(path)

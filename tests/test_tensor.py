@@ -1,11 +1,16 @@
 """Numerics: forward values against hand/numpy oracles, backward against
 central finite differences."""
+import gc
+
 import numpy as np
 import pytest
 
 from dgcrn import tensor as T
 from dgcrn import training as TR
+from dgcrn.data import synth_distances
 from dgcrn.errors import DimensionError, NumericError
+from dgcrn.graphs import build_adjacency
+from dgcrn.model import HyperParams, decode, encode, init_model
 
 
 def _leaf(rng, shape, lo=-1.0, hi=1.0):
@@ -290,6 +295,36 @@ def test_deep_chain_backward_iterative():
         y = y + 0.001
     y.sum().backward()
     assert np.allclose(x.grad, [1.0])
+
+
+def test_abandoned_forward_leaves_no_cyclic_garbage():
+    # a forward dropped without backward (a step that stops on a non-finite
+    # loss) must be freed by reference count: no rule may hold its output
+    n, b = 6, 2
+    hp = HyperParams(hidden=4, emb_dim=2, hyper_dim=2, hops=1, hyper_hops=1,
+                     input_len=3, output_len=3)
+    params = init_model(hp, n, seed=0)
+    graph = build_adjacency(synth_distances(n, seed=1), kappa=0.1)
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.normal(size=(b, 3, n, 2)))
+    tod = T.Tensor(rng.uniform(size=(b, 3, n, 1)))
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        h, _ = encode(x, graph, params)
+        pred = decode(h, tod, graph, params)
+        assert pred.requires_grad and pred._backward is not None
+        del h, pred
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds
+        gc.collect()
+        leaked = sum(isinstance(o, T.Tensor) for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == 0
 
 
 def test_narrow_values_and_bounds():
