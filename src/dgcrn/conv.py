@@ -71,17 +71,20 @@ def dgconv_forward(h_in, dyn, stat, p: ConvParams, direction: str = "forward"):
     for k in range(1, len(p.hop_weights)):
         acc = skip
         if dyn_m is not None:
-            term = T.matmul(dyn_m, h) * p.beta_mix
-            acc = term if acc is None else acc + term
+            acc = _mix(acc, T.matmul(dyn_m, h), p.beta_mix)
         if p.gamma_mix != 0.0:
-            term = T.matmul(stat_m, h) * p.gamma_mix
-            acc = term if acc is None else acc + term
+            acc = _mix(acc, T.matmul(stat_m, h), p.gamma_mix)
         if acc is None:
             # every branch disabled: the hop recurrence collapses to zero
             acc = T.zeros(h.shape, dtype=h.dtype)
         h = acc
         out = out + T.matmul(h, p.hop_weights[k])
     return out
+
+
+def _mix(acc, diffused, coef):
+    # acc + coef * diffused as one tape node; the first term starts the sum
+    return diffused * coef if acc is None else T.scaled_add(acc, diffused, coef)
 
 
 def dual_dgconv(h_in, dyn, stat, p_fwd: ConvParams, p_bwd: ConvParams):

@@ -155,7 +155,12 @@ def split(series: SpeedSeries, kind: str, train, val, test):
 
 @dataclass
 class SampleSet:
-    """Model-ready windows for one contiguous segment."""
+    """Model-ready windows for one contiguous segment.
+
+    x, y and mask are read-only stride-1 window views over one per-step
+    array each, so they cost T x N memory, not S x window x N; index or
+    slice them to get a batch, and copy before writing.
+    """
 
     x: np.ndarray          # S x P x N x 2, speed channel normalized
     y: np.ndarray          # S x Q x N raw units, missing -> 0.0
@@ -168,7 +173,7 @@ class SampleSet:
 
 
 def _sliding(arr: np.ndarray, window: int) -> np.ndarray:
-    # (T, ...) -> (T-window+1, window, ...)
+    # (T, ...) -> (T-window+1, window, ...), a read-only view of arr
     view = np.lib.stride_tricks.sliding_window_view(arr, window, axis=0)
     return np.moveaxis(view, -1, 1)
 
@@ -205,21 +210,19 @@ def make_windows(series: SpeedSeries, input_len: int, output_len: int,
         raise DimensionError(
             "filled values shape %r does not match series %r" % (src.shape, raw.shape)
         )
-    speed_in = src if stats is None else normalize(src, stats)
     tod_all = series.time_of_day()
     ts_all = series.timestamps()
 
-    x_speed = _sliding(speed_in, input_len)[:count]              # S x P x N
-    x_tod = _sliding(tod_all, input_len)[:count]                 # S x P
-    x = np.stack(
-        [x_speed, np.broadcast_to(x_tod[:, :, None], x_speed.shape)], axis=-1
-    ).astype(np.float64)
-
-    y_raw = _sliding(raw, output_len)[input_len:input_len + count]
-    mask = np.isfinite(y_raw).astype(np.float64)
-    y = np.nan_to_num(y_raw, nan=0.0)
-    tod = _sliding(tod_all, output_len)[input_len:input_len + count].copy()
-    target_ts = _sliding(ts_all, output_len)[input_len:input_len + count].copy()
+    # one T x N x 2 step array; each window is a view of P consecutive steps
+    steps = np.empty((t_total, n, 2))
+    steps[..., 0] = src if stats is None else normalize(src, stats)
+    steps[..., 1] = tod_all[:, None]
+    x = _sliding(steps, input_len)[:count]
+    labels = slice(input_len, input_len + count)
+    y = _sliding(np.nan_to_num(raw, nan=0.0), output_len)[labels]
+    mask = _sliding(np.isfinite(raw).astype(np.float64), output_len)[labels]
+    tod = _sliding(tod_all, output_len)[labels].copy()
+    target_ts = _sliding(ts_all, output_len)[labels].copy()
     return SampleSet(x=x, y=y, tod=tod, mask=mask, target_ts=target_ts)
 
 

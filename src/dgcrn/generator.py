@@ -4,14 +4,14 @@ Two hyper-networks (static-graph convolutions over the concatenated speed,
 time-of-day, and hidden state) emit per-node dynamic filters. The filters
 modulate two learned node-embedding tables; the antisymmetrized, rectified
 pairwise similarity of the modulated embeddings is the per-step directed
-adjacency. Because the pre-activation is exactly antisymmetric, the raw
-graph has a zero diagonal and never keeps both directions of a pair.
+adjacency. The pre-activation is antisymmetric up to the rounding of two
+separately computed products, so the raw graph keeps at most one direction
+of each pair except where both are within rounding of zero (see
+`dynamic_adjacency`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
 from .conv import ConvParams, dgconv_forward
@@ -110,17 +110,23 @@ def _modulate(df, emb, params: GeneratorParams):
         mat = df.reshape(b, n, d_e, d_e)
         row = emb.reshape(1, n, 1, d_e)
         prod = T.matmul(row, mat).reshape(b, n, d_e)
-    else:
-        prod = df * emb
-    return T.tanh(prod * params.alpha_sat)
+        return T.tanh(prod * params.alpha_sat)
+    return T.tanh_product(df, emb, params.alpha_sat)
 
 
 def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     """Directed adjacency from modulated embeddings.
 
-    raw = ReLU(tanh(alpha_sat * (DE1 DE2^T - DE2 DE1^T))). The argument is
-    antisymmetric bit-for-bit, so the diagonal is exactly zero and at most
-    one direction of each pair survives the ReLU.
+    raw = ReLU(tanh(alpha_sat * (DE1 DE2^T - DE2 DE1^T))). The two products
+    are computed separately, so the argument is antisymmetric only as far as
+    BLAS returns DE2 DE1^T as the exact transpose of DE1 DE2^T. In float32
+    it has at every shape tried: the diagonal is exactly zero and at most
+    one direction of each pair survives the ReLU. In float64 at N=207,
+    D_e=40 it does not: the argument plus its transpose has entries a few
+    ulps from zero, so a pair whose weight is within rounding of zero may
+    keep both directions. Computing one product M and using M - M^T makes
+    the antisymmetry exact; it is ROADMAP item 4, and it changes the number
+    of matmuls per cell step.
     """
     if de_src.shape != de_tgt.shape or de_src.ndim != 3:
         raise DimensionError(
@@ -131,21 +137,12 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
         raise ConfigError("alpha_sat must be positive; got %r" % (alpha_sat,))
     m1 = T.matmul(de_src, de_tgt.mT)
     m2 = T.matmul(de_tgt, de_src.mT)
-    raw = T.relu(T.tanh((m1 - m2) * alpha_sat))
+    raw = T.relu_tanh_diff(m1, m2, alpha_sat)
     return DynamicGraph(
         raw=raw,
-        normalized=_self_loop_normalize(raw),
-        normalized_bwd=_self_loop_normalize(raw.mT),
+        normalized=T.self_loop_normalize(raw),
+        normalized_bwd=T.self_loop_normalize(raw.mT),
     )
-
-
-def _self_loop_normalize(m):
-    # rows of (M + I) divided by 1 + rowsum(M); differentiable through M
-    n = m.shape[-1]
-    eye = Tensor(np.eye(n, dtype=m.dtype))
-    loops = m + eye
-    deg = loops.sum(axis=-1, keepdims=True)
-    return loops / deg
 
 
 def generate(inp, graph, params: GeneratorParams) -> DynamicGraph:

@@ -252,7 +252,7 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     r = T.sigmoid(dual_dgconv(xh, dyn, graph, *cell.theta_r))
     xrh = T.concat([x_t, r * h_prev], axis=-1)
     h_cand = T.tanh(dual_dgconv(xrh, dyn, graph, *cell.theta_h))
-    h_t = z * h_prev + (1.0 - z) * h_cand
+    h_t = T.gru_update(z, h_prev, h_cand)
     T.assert_finite(h_t, "%s: hidden state" % step_label)
     return h_t, dyn
 

@@ -1,8 +1,10 @@
 """Dense tensors with reverse-mode differentiation on top of numpy.
 
-The kernel set is deliberately small: elementwise arithmetic, matmul over
+The kernel set is deliberately small: add/subtract/multiply, matmul over
 the last two axes (with leading-axis broadcasting), concat/stack/narrow,
-sum/mean and tanh/sigmoid/ReLU/absolute. That set is exactly what the model
+reshape/transpose/sum, tanh/sigmoid/absolute, and five fused elementwise
+chains of the cell step (`scaled_add`, `relu_tanh_diff`, `tanh_product`,
+`self_loop_normalize`, `gru_update`). That set is exactly what the model
 forward pass needs.
 
 An op records one gradient rule per parent: a function from the output
@@ -145,27 +147,12 @@ class Tensor:
         a, b = self, _as_tensor(other, self.data.dtype)
         return _from_op(a.data - b.data, (a, b), (_identity, np.negative))
 
-    def __rsub__(self, other):
-        return _as_tensor(other, self.data.dtype) - self
-
     def __mul__(self, other):
         a, b = self, _as_tensor(other, self.data.dtype)
         return _from_op(a.data * b.data, (a, b),
                         (lambda g: g * b.data, lambda g: g * a.data))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, _as_tensor(other, self.data.dtype)
-        data = a.data / b.data
-        return _from_op(data, (a, b),
-                        (lambda g: g / b.data, lambda g: -g * data / b.data))
-
-    def __neg__(self):
-        return _from_op(-self.data, (self,), (np.negative,))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self.data.dtype))
 
     # -- shape ops ---------------------------------------------------------
 
@@ -193,11 +180,6 @@ class Tensor:
 
         return _from_op(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)),
                         (self,), (rule,))
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        s = self.sum(axis=axis, keepdims=keepdims)
-        count = self.data.size / max(s.data.size, 1)
-        return s * (1.0 / count)
 
 
 # -- graph plumbing ----------------------------------------------------------
@@ -265,12 +247,74 @@ def sigmoid(t: Tensor) -> Tensor:
     return _from_op(data, (t,), (lambda g: g * data * (1.0 - data),))
 
 
-def relu(t: Tensor) -> Tensor:
-    return _from_op(np.maximum(t.data, 0), (t,), (lambda g: g * (t.data > 0),))
-
-
 def absolute(t: Tensor) -> Tensor:
     return _from_op(np.abs(t.data), (t,), (lambda g: g * np.sign(t.data),))
+
+
+# -- fused elementwise chains -------------------------------------------------
+#
+# Each op below is one tape node for an elementwise chain the model runs at
+# every cell step. The forward evaluates the chain's numpy operations in the
+# chain's order and the rules multiply its derivatives in the same order, so
+# values and gradients are bit-identical to one node per operation, while
+# the tape keeps only what the rules read, not every intermediate.
+
+
+def scaled_add(a: Tensor, b: Tensor, c: float) -> Tensor:
+    """a + c*b, one diffusion term of the hop recurrence."""
+    c = np.asarray(c, dtype=b.data.dtype)
+    return _from_op(a.data + b.data * c, (a, b), (_identity, lambda g: g * c))
+
+
+def relu_tanh_diff(a: Tensor, b: Tensor, alpha: float) -> Tensor:
+    """relu(tanh(alpha*(a - b))); the gradient is zero wherever a == b."""
+    alpha = np.asarray(alpha, dtype=a.data.dtype)
+    data = a.data - b.data
+    data *= alpha
+    np.tanh(data, out=data)
+    np.maximum(data, 0, out=data)
+
+    # the output equals the tanh wherever the relu passes its gradient
+    def rule(g):
+        return g * (data > 0) * (1.0 - data * data) * alpha
+
+    return _from_op(data, (a, b), (rule, lambda g: np.negative(rule(g))))
+
+
+def tanh_product(a: Tensor, b: Tensor, alpha: float) -> Tensor:
+    """tanh(alpha*(a*b)), the hadamard modulation of an embedding table."""
+    alpha = np.asarray(alpha, dtype=a.data.dtype)
+    data = a.data * b.data
+    data *= alpha
+    np.tanh(data, out=data)
+
+    def pre(g):
+        return g * (1.0 - data * data) * alpha
+
+    return _from_op(data, (a, b), (lambda g: pre(g) * b.data, lambda g: pre(g) * a.data))
+
+
+def self_loop_normalize(m: Tensor) -> Tensor:
+    """Rows of M + I divided by their sums, 1 + rowsum(M)."""
+    n = m.data.shape[-1]
+    # adding 0.0 in C order gives the layout and signed zeros of M + eye(n)
+    loops = np.add(m.data, 0.0, order="C")
+    loops.reshape(loops.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
+    deg = loops.sum(axis=-1, keepdims=True)
+    data = loops / deg
+
+    def rule(g):
+        return g / deg + (-g * data / deg).sum(axis=-1, keepdims=True)
+
+    return _from_op(data, (m,), (rule,))
+
+
+def gru_update(z: Tensor, h: Tensor, c: Tensor) -> Tensor:
+    """z*h + (1 - z)*c, the GRU blend of the old state and the candidate."""
+    data = z.data * h.data + (1.0 - z.data) * c.data
+    return _from_op(data, (z, h, c), (lambda g: g * h.data - g * c.data,
+                                      lambda g: g * z.data,
+                                      lambda g: g * (1.0 - z.data)))
 
 
 # -- linear algebra ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Series container, normalization, splits, windows, imputation, synth data."""
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from dgcrn import data as D
 from dgcrn.errors import ConfigError, DegenerateInputError, DimensionError
@@ -159,6 +160,34 @@ def test_make_windows_short_segment_warns_empty():
     assert len(out) == 0
     assert out.x.shape == (0, 4, 3, 2)
     assert out.y.shape == (0, 4, 3)
+
+
+def test_make_windows_are_read_only():
+    out = D.make_windows(_series(t=30, n=4), 5, 3, D.NormStats(40.0, 10.0))
+    for arr in (out.x, out.y, out.mask):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+
+def test_make_windows_share_one_step_array():
+    t, n, p, q = 200, 3, 12, 12
+    s = _series(t=t, n=n, seed=4)
+    s.values[7, 1] = np.nan
+    out = D.make_windows(s, p, q, D.NormStats.fit(s.values))
+    count = len(out)
+    for arr in (out.x, out.y, out.mask):
+        # window i+1 is window i moved one step along the same memory
+        assert np.shares_memory(arr[0, 1:], arr[1, :-1])
+        assert np.array_equal(arr[0, 1:], arr[1, :-1], equal_nan=True)
+    # each view spans one per-step array: T x N x 2 for x, T x N for y and mask
+    spans = {}
+    for name in ("x", "y", "mask"):
+        lo, hi = byte_bounds(getattr(out, name))
+        spans[name] = hi - lo
+    assert spans["x"] <= t * n * 2 * 8
+    assert spans["y"] <= t * n * 8 and spans["mask"] <= t * n * 8
+    copied = count * (2 * p + 2 * q) * n * 8  # bytes of x, y and mask as copies
+    assert sum(spans.values()) * 5 < copied
 
 
 def test_make_windows_count_boundary():

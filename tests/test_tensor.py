@@ -156,11 +156,11 @@ def test_composite_graph_grads_match_fd(seed):
         c = T.concat([a, b * 2.0], axis=-1)          # (2,3,4)
         h = T.tanh(T.matmul(c, w))                   # (2,3,2)
         f = T.sigmoid(h) * e                         # (2,3,2)
-        s = T.stack([f, T.relu(h + 0.3)], axis=0)    # (2,2,3,2)
+        s = T.stack([f, T.absolute(h + 0.3)], axis=0)  # (2,2,3,2)
         n = T.narrow(s, axis=-1, start=0, length=1)
         back = T.matmul(h, w.mT)                     # (2,3,4)
-        quot = a / (b + 3.0)
-        return n.mean() + back.sum() * 0.1 + quot.sum() + (-a).sum()
+        diff = (a - b) * T.sigmoid(b + 3.0)
+        return n.sum() * (1.0 / n.size) + back.sum() * 0.1 + diff.sum() + (a * -1.0).sum()
 
     _fd_check(build, [a, b, w, e])
 
@@ -181,8 +181,9 @@ def test_abs_grad_away_from_zero(seed):
 def test_reshape_sum_mean_grads():
     rng = np.random.default_rng(11)
     x = _leaf(rng, (2, 6))
-    _fd_check(lambda: (x.reshape(3, 4) * x.reshape(3, 4)).mean(), [x])
-    _fd_check(lambda: x.sum(axis=0).sum() + x.mean(axis=1, keepdims=True).sum(), [x])
+    _fd_check(lambda: (x.reshape(3, 4) * x.reshape(3, 4)).sum() * (1.0 / 12), [x])
+    _fd_check(lambda: x.sum(axis=0).sum() + (x.sum(axis=1, keepdims=True) * (1.0 / 6)).sum(),
+              [x])
     s = x.sum(axis=1, keepdims=True)
     assert s.shape == (2, 1)
     assert np.allclose(s.data, x.data.sum(axis=1, keepdims=True))
@@ -236,6 +237,80 @@ def test_fanout_accumulates_additively():
             assert T.max_rel_err(t.grad, fd * scale) < 1e-6
 
 
+# -- fused elementwise chains -----------------------------------------------------
+
+def _fused_cases(dtype, seed=0):
+    """(leaves, fused op, numpy expression the unfused chain of ops evaluates)."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(data):
+        return T.Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+
+    a, b = leaf(rng.uniform(-1, 1, (2, 4, 3))), leaf(rng.uniform(-1, 1, (2, 4, 3)))
+    emb = leaf(rng.uniform(-1, 1, (4, 3)))
+    z = leaf(rng.uniform(0.05, 0.95, (2, 4, 3)))
+    m = leaf(rng.uniform(0, 1, (2, 4, 4)))
+    m.data[0, 1, 2] = -0.0  # M + I turns it into +0.0
+    # a transposed view, as `raw.mT` reaches the backward-direction graph
+    mt = leaf(np.swapaxes(rng.uniform(0, 1, (2, 4, 4)), -1, -2))
+    eye = np.eye(4, dtype=dtype)
+    # the unfused chain multiplied by a 0-d array of the operand dtype
+    beta, alpha = np.asarray(0.95, dtype), np.asarray(3.0, dtype)
+
+    def normalized(x):
+        loops = x + eye
+        return loops / loops.sum(axis=-1, keepdims=True)
+
+    return [
+        ([a, b], lambda: T.scaled_add(a, b, 0.95), lambda: a.data + b.data * beta),
+        ([a, b], lambda: T.relu_tanh_diff(a, b, 3.0),
+         lambda: np.maximum(np.tanh((a.data - b.data) * alpha), 0)),
+        ([a, emb], lambda: T.tanh_product(a, emb, 3.0),
+         lambda: np.tanh((a.data * emb.data) * alpha)),
+        ([m], lambda: T.self_loop_normalize(m), lambda: normalized(m.data)),
+        ([mt], lambda: T.self_loop_normalize(mt), lambda: normalized(mt.data)),
+        ([z, a, b], lambda: T.gru_update(z, a, b),
+         lambda: z.data * a.data + (1.0 - z.data) * b.data),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_forward_is_bitwise_the_unfused_chain(dtype):
+    for _, op, expect in _fused_cases(dtype):
+        out, want = op().data, expect()
+        assert out.dtype == want.dtype == dtype
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_grads_match_fd(seed):
+    for leaves, op, _ in _fused_cases(np.float64, seed):
+        weight = T.Tensor(np.random.default_rng(seed).normal(size=op().shape))
+        _fd_check(lambda: (op() * weight).sum(), leaves, tol=1e-6)
+
+
+def test_fused_ops_record_one_tape_node():
+    for leaves, op, _ in _fused_cases(np.float64):
+        out = op()
+        assert len(out._parents) == len(out._backward) == len(leaves)
+        assert all(p is leaf for p, leaf in zip(out._parents, leaves))
+        assert all(leaf._backward is None for leaf in leaves)
+
+
+def test_relu_tanh_diff_tie_gets_zero_grad():
+    rng = np.random.default_rng(16)
+    a = _leaf(rng, (2, 5, 5))
+    b = T.Tensor(a.data.copy(), requires_grad=True)
+    b.data[:, :, :2] += rng.uniform(-1, 1, (2, 5, 2))
+    tie = a.data == b.data
+    out = T.relu_tanh_diff(a, b, 3.0)
+    (out * T.Tensor(rng.normal(size=out.shape))).sum().backward()
+    assert np.all(out.data[tie] == 0.0)
+    assert np.all(a.grad[tie] == 0.0) and np.all(b.grad[tie] == 0.0)
+    assert np.any(a.grad[~tie] != 0.0)
+    assert np.array_equal(b.grad, -a.grad)
+
+
 # -- ranges and stability --------------------------------------------------------
 
 def test_nonlinearity_ranges():
@@ -243,10 +318,10 @@ def test_nonlinearity_ranges():
     x = T.Tensor(rng.normal(scale=2.0, size=200))
     th = T.tanh(x).data
     sg = T.sigmoid(x).data
-    rl = T.relu(x).data
+    rl = T.relu_tanh_diff(x, T.zeros(x.shape), 1.0).data
     assert np.all(th > -1.0) and np.all(th < 1.0)
     assert np.all(sg > 0.0) and np.all(sg < 1.0)
-    assert np.all(rl >= 0.0)
+    assert np.all(rl >= 0.0) and np.all(rl < 1.0)
     # saturated inputs round onto the closed interval but never overshoot
     big = T.Tensor(rng.normal(scale=100.0, size=200))
     assert np.all(np.abs(T.tanh(big).data) <= 1.0)
