@@ -336,12 +336,14 @@ def synth_generate(n_nodes: int, n_days: int, graph, seed: int,
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     base = 60.0 - amp[None, :] * (0.5 + 0.5 * np.sin(2.0 * np.pi * tod[:, None] + phase[None, :]))
 
-    # congestion sources: event start cells with random plateau durations
+    # congestion sources: event start cells with random plateau durations;
+    # each T x N table is released once used and the speed is built in place
     starts = rng.random((t_total, n)) < congestion_rate
     durations = rng.integers(6, 25, size=(t_total, n))
     c_src = np.zeros((t_total, n))
     for t, v in np.argwhere(starts):
         c_src[t:t + durations[t, v], v] = 1.0
+    del starts, durations
 
     # spread along directed edges with one-step lag and damping 0.6
     neighbor = (graph.adjacency > 0.0) & ~np.eye(n, dtype=bool)
@@ -350,9 +352,17 @@ def synth_generate(n_nodes: int, n_days: int, graph, seed: int,
     for t in range(1, t_total):
         inbound = np.where(neighbor, c[t - 1][:, None], 0.0).max(axis=0)
         c[t] = np.maximum(c_src[t], 0.6 * inbound)
+    del c_src
 
-    speed = base - c * (base - 15.0)
-    speed = speed + noise_std * rng.standard_normal((t_total, n))
+    # base - c*(base - 15) + noise_std*noise, with the same roundings
+    speed = base - 15.0
+    speed *= c
+    del c
+    np.subtract(base, speed, out=speed)
+    del base
+    noise = rng.standard_normal((t_total, n))
+    noise *= noise_std
+    speed += noise
     return SpeedSeries(speed, dt_seconds, start_epoch)
 
 

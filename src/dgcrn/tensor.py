@@ -7,11 +7,17 @@ chains of the cell step (`scaled_add`, `relu_tanh_diff`, `tanh_product`,
 `self_loop_normalize`, `gru_update`). That set is exactly what the model
 forward pass needs.
 
-An op records one gradient rule per parent: a function from the output
-gradient to that parent's gradient, which `_accum` then sums over any
-broadcast axes. No rule holds the op's output, so a tape never forms a
-reference cycle and a forward that is never backpropagated is freed by
-reference count as soon as it is dropped.
+The tape is separate from the values. An op output that needs a gradient
+gets a `_Node` holding its grad, the nodes of the parents that require a
+gradient and one rule per parent: a function from the output gradient to
+that parent's gradient, which `_accum` then sums over any broadcast axes.
+A leaf is its own node. Each rule captures at forward time exactly the
+arrays it reads (the operands of a product, the output of `tanh`), so an
+output that no rule reads is freed by reference count as soon as the
+forward drops its `Tensor`, and rebinding a leaf's `.data` between forward
+and backward does not change the gradient. No rule holds its own node, so
+a tape never forms a reference cycle and a forward that is never
+backpropagated is freed by reference count as soon as it is dropped.
 
 Gradients accumulate additively across fan-out and are zeroed explicitly by
 the caller. After `backward` only leaf tensors keep `.grad`: interior nodes
@@ -24,6 +30,7 @@ gradient checks; float32 is accepted everywhere for faster training runs.
 from __future__ import annotations
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -47,9 +54,14 @@ def no_grad():
 
 
 class Tensor:
-    """A numpy array plus an optional gradient and one gradient rule per parent."""
+    """A numpy array plus an optional gradient; an op output also has a node.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    A leaf is its own tape node and keeps `.grad`. An op output that needs a
+    gradient points at its `_Node`, which holds the gradient while
+    `backward` runs; `_parents` and `_backward` read through to it.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -58,8 +70,15 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents: tuple = ()
-        self._backward = None
+        self._node = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self):
@@ -99,20 +118,22 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar root.
 
-        Iterative post-order traversal; the recurrences unroll P+Q cell
-        steps so recursion depth is not safe here. Each interior node hands
-        its grad to every parent that requires one through that parent's
-        rule, then drops its grad, parents and rules, so the tape is freed by
-        reference count during the sweep. Only leaves keep `.grad`, which may
-        be shared or read-only.
+        Iterative post-order traversal over tape nodes; the recurrences
+        unroll P+Q cell steps so recursion depth is not safe here. Each
+        interior node hands its grad to every parent node through that
+        parent's rule, which reads only the arrays it captured in the
+        forward, then drops its grad, parents and rules, so the tape is freed
+        by reference count during the sweep. Only leaves keep `.grad`, which
+        may be shared or read-only.
         """
         if self.data.size != 1:
             raise DimensionError(
                 "backward() requires a scalar root; got shape %r" % (self.shape,)
             )
+        root = self if self._node is None else self._node
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -123,16 +144,15 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is not None:
                 g = node.grad
                 for p, rule in zip(node._parents, node._backward):
-                    if p.requires_grad:
-                        _accum(p, rule(g))
+                    _accum(p, rule(g))
                 node.grad, node._parents, node._backward = None, (), None
 
     # -- elementwise arithmetic -------------------------------------------
@@ -148,9 +168,9 @@ class Tensor:
         return _from_op(a.data - b.data, (a, b), (_identity, np.negative))
 
     def __mul__(self, other):
-        a, b = self, _as_tensor(other, self.data.dtype)
-        return _from_op(a.data * b.data, (a, b),
-                        (lambda g: g * b.data, lambda g: g * a.data))
+        other = _as_tensor(other, self.data.dtype)
+        a, b = self.data, other.data
+        return _from_op(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
@@ -212,23 +232,51 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _accum(t: Tensor, g):
+class _Node:
+    """The tape record of one op output: its grad, parent nodes and rules.
+
+    It holds the output array only through a weak reference, so the array
+    lives exactly as long as the forward or a rule keeps it.
+    """
+
+    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "_data")
+    requires_grad = True
+
+    def __init__(self, data: np.ndarray, parents: tuple, rules: tuple):
+        self.grad = None
+        self._parents = parents
+        self._backward = rules
+        self.shape, self.dtype = data.shape, data.dtype
+        self._data = weakref.ref(data)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The output while anything keeps it alive, else an empty array."""
+        data = self._data()
+        return np.empty(0, self.dtype) if data is None else data
+
+
+def _accum(t, g):
     # out of place: the stored array may be shared with another operand
-    g = _unbroadcast(g, t.data.shape)
+    g = _unbroadcast(g, t.shape)
     if t.grad is None:
-        t.grad = np.broadcast_to(g, t.data.shape).astype(t.data.dtype, copy=False)
+        t.grad = np.broadcast_to(g, t.shape).astype(t.dtype, copy=False)
     else:
         t.grad = t.grad + g
 
 
 def _from_op(data: np.ndarray, parents: tuple, rules: tuple) -> Tensor:
     # rules[i] maps the output gradient to parents[i]'s gradient before
-    # unbroadcasting; no rule holds the output, so a tape has no cycles
+    # unbroadcasting; the node keeps the rules of the parents that require a
+    # gradient, and no rule holds the node, so a tape has no cycles
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = rules
+    if _grad_enabled:
+        tape = [(p if p._node is None else p._node, rule)
+                for p, rule in zip(parents, rules) if p.requires_grad]
+        if tape:
+            nodes, kept = zip(*tape)
+            out.requires_grad = True
+            out._node = _Node(out.data, nodes, kept)
     return out
 
 
@@ -248,7 +296,8 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def absolute(t: Tensor) -> Tensor:
-    return _from_op(np.abs(t.data), (t,), (lambda g: g * np.sign(t.data),))
+    x = t.data
+    return _from_op(np.abs(x), (t,), (lambda g: g * np.sign(x),))
 
 
 # -- fused elementwise chains -------------------------------------------------
@@ -284,14 +333,15 @@ def relu_tanh_diff(a: Tensor, b: Tensor, alpha: float) -> Tensor:
 def tanh_product(a: Tensor, b: Tensor, alpha: float) -> Tensor:
     """tanh(alpha*(a*b)), the hadamard modulation of an embedding table."""
     alpha = np.asarray(alpha, dtype=a.data.dtype)
-    data = a.data * b.data
+    x, y = a.data, b.data
+    data = x * y
     data *= alpha
     np.tanh(data, out=data)
 
     def pre(g):
         return g * (1.0 - data * data) * alpha
 
-    return _from_op(data, (a, b), (lambda g: pre(g) * b.data, lambda g: pre(g) * a.data))
+    return _from_op(data, (a, b), (lambda g: pre(g) * y, lambda g: pre(g) * x))
 
 
 def self_loop_normalize(m: Tensor) -> Tensor:
@@ -311,10 +361,11 @@ def self_loop_normalize(m: Tensor) -> Tensor:
 
 def gru_update(z: Tensor, h: Tensor, c: Tensor) -> Tensor:
     """z*h + (1 - z)*c, the GRU blend of the old state and the candidate."""
-    data = z.data * h.data + (1.0 - z.data) * c.data
-    return _from_op(data, (z, h, c), (lambda g: g * h.data - g * c.data,
-                                      lambda g: g * z.data,
-                                      lambda g: g * (1.0 - z.data)))
+    zd, hd, cd = z.data, h.data, c.data
+    data = zd * hd + (1.0 - zd) * cd
+    return _from_op(data, (z, h, c), (lambda g: g * hd - g * cd,
+                                      lambda g: g * zd,
+                                      lambda g: g * (1.0 - zd)))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -327,15 +378,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             "matmul requires ndim >= 2; got shapes %r and %r" % (a.shape, b.shape)
         )
+    x, y = a.data, b.data
     try:
-        data = np.matmul(a.data, b.data)
+        data = np.matmul(x, y)
     except ValueError:
         raise DimensionError(
             "matmul: shapes %r and %r do not align" % (a.shape, b.shape)
         ) from None
     return _from_op(data, (a, b),
-                    (lambda g: np.matmul(g, _swap_last(b.data)),
-                     lambda g: np.matmul(_swap_last(a.data), g)))
+                    (lambda g: np.matmul(g, _swap_last(y)),
+                     lambda g: np.matmul(_swap_last(x), g)))
 
 
 # -- assembly ops ------------------------------------------------------------
@@ -371,9 +423,10 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
             % (start, start + length, ax, t.shape)
         )
     idx = (slice(None),) * ax + (slice(start, start + length),)
+    shape, dtype = t.data.shape, t.data.dtype
 
     def rule(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape, dtype)
         full[idx] = g
         return full
 

@@ -1,10 +1,13 @@
 """Numerics: forward values against hand/numpy oracles, backward against
 central finite differences."""
 import gc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dgcrn import conv
 from dgcrn import tensor as T
 from dgcrn import training as TR
 from dgcrn.data import synth_distances
@@ -393,13 +396,97 @@ def test_abandoned_forward_leaves_no_cyclic_garbage():
         del h, pred
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds
         gc.collect()
-        leaked = sum(isinstance(o, T.Tensor) for o in gc.garbage)
+        leaked = sum(isinstance(o, (T.Tensor, T._Node)) for o in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
         if was_enabled:
             gc.enable()
     assert leaked == 0
+
+
+# -- what the tape keeps alive ----------------------------------------------------
+
+_CONST = T.Tensor(np.random.default_rng(20).uniform(-1, 1, (2, 3, 3)))
+
+# (op on interior inputs, whether a rule reads each input, whether the op's
+# own rule reads its output); each rule captures exactly what it reads
+_LIVENESS = [
+    ("add", lambda u, v: u + v, (False, False), False),
+    ("sub", lambda u, v: u - v, (False, False), False),
+    ("mul", lambda u, v: u * v, (True, True), False),
+    ("mul_const", lambda u: u * 2.0, (False,), False),
+    ("reshape", lambda u: u.reshape(2, 9), (False,), False),
+    ("mT", lambda u: u.mT, (False,), False),
+    ("sum", lambda u: u.sum(axis=1), (False,), False),
+    ("concat", lambda u, v: T.concat([u, v], axis=-1), (False, False), False),
+    ("stack", lambda u, v: T.stack([u, v], axis=1), (False, False), False),
+    ("narrow", lambda u: T.narrow(u, 1, 1, 2), (False,), False),
+    ("tanh", T.tanh, (False,), True),
+    ("sigmoid", T.sigmoid, (False,), True),
+    ("absolute", T.absolute, (True,), False),
+    ("scaled_add", lambda u, v: T.scaled_add(u, v, 0.5), (False, False), False),
+    ("relu_tanh_diff", lambda u, v: T.relu_tanh_diff(u, v, 3.0), (False, False), True),
+    ("tanh_product", lambda u, v: T.tanh_product(u, v, 3.0), (True, True), True),
+    ("self_loop_normalize", T.self_loop_normalize, (False,), True),
+    ("gru_update", T.gru_update, (True, True, True), False),
+    ("matmul", T.matmul, (True, True), False),
+    ("matmul_const", lambda u: T.matmul(_CONST, u), (False,), False),
+]
+
+
+@pytest.mark.parametrize("op, reads_inputs, reads_output",
+                         [case[1:] for case in _LIVENESS],
+                         ids=[case[0] for case in _LIVENESS])
+def test_tape_keeps_only_arrays_rules_read(op, reads_inputs, reads_output):
+    rng = np.random.default_rng(21)
+    leaves = [_leaf(rng, (2, 3, 3)) for _ in reads_inputs]
+    # interior outputs whose arrays nothing but the tape could keep
+    inputs = [leaf * 1.0 for leaf in leaves]
+    input_refs = [weakref.ref(t.data) for t in inputs]
+    out = op(*inputs)
+    output_ref = weakref.ref(out.data)
+    root = out.sum()  # sum's rule reads only the shape
+    del inputs, out
+    assert [r() is not None for r in input_refs] == list(reads_inputs)
+    assert (output_ref() is not None) == reads_output
+    root.backward()
+    grads = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.zero_grad()
+    op(*[leaf * 1.0 for leaf in leaves]).sum().backward()
+    assert all(np.array_equal(g, leaf.grad) for g, leaf in zip(grads, leaves))
+
+
+def test_hop_recurrence_frees_every_product(monkeypatch):
+    # every product in dgconv_forward feeds only `+`, `*` by its mixing
+    # coefficient or `scaled_add`, whose rules read none of them, while an
+    # operand whose partner needs a gradient stays for that partner's rule
+    rng = np.random.default_rng(22)
+    n, b, d = 5, 2, 3
+    graph = build_adjacency(synth_distances(n, seed=1), kappa=0.1)
+    raw = T.absolute(_leaf(rng, (b, n, n)))
+    dyn = SimpleNamespace(normalized=T.self_loop_normalize(raw),
+                          normalized_bwd=T.self_loop_normalize(raw.mT))
+    weights = [_leaf(rng, (d, 4)) for _ in range(3)]
+    params = conv.ConvParams(weights, alpha_mix=0.05, beta_mix=0.95, gamma_mix=0.95)
+    products, operands = [], []
+    matmul = T.matmul
+
+    def recording(x, y):
+        out = matmul(x, y)
+        products.append(weakref.ref(out.data))
+        operands.append((weakref.ref(x.data), y.requires_grad))
+        operands.append((weakref.ref(y.data), x.requires_grad))
+        return out
+
+    monkeypatch.setattr(T, "matmul", recording)
+    out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, dyn, graph, params)
+    assert len(products) == 7  # hop 0, then (dynamic, static, weight) per hop
+    assert all(r() is None for r in products)
+    assert all(r() is not None for r, read in operands if read)
+    out.sum().backward()
+    assert all(w.grad is not None for w in weights)
 
 
 def test_narrow_values_and_bounds():

@@ -235,7 +235,7 @@ def test_train_step_tape_needs_no_cyclic_gc(monkeypatch):
         TR.train_step(params, graph, batch, ds.stats, opt, cfg, state)
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds
         gc.collect()
-        leaked = sum(isinstance(o, T.Tensor) for o in gc.garbage)
+        leaked = sum(isinstance(o, (T.Tensor, T._Node)) for o in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
