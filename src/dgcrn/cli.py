@@ -268,8 +268,19 @@ def _cmd_train(args):
     return EXIT_OK
 
 
-def _cmd_eval(args):
+def _write_report(out, args, cfg, rows, output_len):
+    """Write the requested horizons' rows to report.csv, print them, return the path."""
     from . import metrics as MT
+
+    horizons = _resolve_horizons(args.horizons, cfg.eval.horizons, output_len)
+    rows = [r for r in rows if r[1] in horizons]
+    report_path = os.path.join(out, "report.csv")
+    MT.write_report_csv(report_path, rows)
+    print(MT.format_report_table(rows))
+    return report_path
+
+
+def _cmd_eval(args):
     from . import serialize as S
     from . import training as TR
     from .data import build_dataset
@@ -291,15 +302,10 @@ def _cmd_eval(args):
     name = extra.get("ablation") or "DGCRN"
     overall, rows = TR.evaluate(params, graph, samples, stats,
                                 batch_size=cfg.eval.batch_size, model_name=name)
-    horizons = _resolve_horizons(args.horizons, cfg.eval.horizons,
-                                 params.hp.output_len)
-    rows = [r for r in rows if r[1] in horizons]
-    report_path = os.path.join(out, "report.csv")
-    MT.write_report_csv(report_path, rows)
+    report_path = _write_report(out, args, cfg, rows, params.hp.output_len)
     _write_manifest(out, "eval", cfg, None,
                     [args.checkpoint, cfg.data.speeds, cfg.data.distances],
                     [report_path], started)
-    print(MT.format_report_table(rows))
     print("%s split overall: MAE %.4f  RMSE %.4f  MAPE %.2f%%  (n=%d)"
           % (cfg.eval.split, overall[0], overall[1], overall[2], overall[3]))
     return EXIT_OK
@@ -388,16 +394,11 @@ def _cmd_bench(args):
         MT.persistence_forecast(samples.x, dataset.stats, dataset.output_len),
         samples.y, samples.mask)
 
-    horizons = _resolve_horizons(args.horizons, cfg.eval.horizons,
-                                 cfg.model.output_len)
-    rows = [r for r in rows if r[1] in horizons]
+    report_path = _write_report(out, args, cfg, rows, cfg.model.output_len)
     ckpt_path, log_path = _save_run(out, "", params, dataset, history, best_val)
-    report_path = os.path.join(out, "report.csv")
-    MT.write_report_csv(report_path, rows)
     _write_manifest(out, "bench", cfg, cfg.train.seed,
                     [cfg.data.speeds, cfg.data.distances],
                     [ckpt_path, log_path, report_path], started)
-    print(MT.format_report_table(rows))
     return EXIT_OK
 
 

@@ -1,94 +1,74 @@
-"""K-hop graph convolution over the static and per-step dynamic graphs.
+"""K-hop graph convolution over weighted supports.
 
-Each hop mixes three terms: a skip connection to the layer input, diffusion
-along the (row-stochastic) dynamic graph, and diffusion along the static
-graph. Hop outputs are projected by per-hop weight matrices and summed.
-Aggregation runs along the node axis: out[b,n,:] = sum_m M[...,n,m] H[b,m,:].
+A support is a (coefficient, row-stochastic graph) pair: the static N x N
+graph or the per-step dynamic B x N x N one. Each hop mixes a skip term to
+the layer input with diffusion along every support,
+H^(k) = alpha H_in + sum_j c_j A_j H^(k-1); hop outputs are projected by
+per-hop weights and summed. Aggregation runs along the node axis:
+out[b,n,:] = sum_m A[...,n,m] H[b,m,:].
 
-Terms whose mixing coefficient is exactly 0 are skipped rather than
-multiplied by 0.0, so disabling a branch via config is bit-identical to a
-build without that branch.
+`supports` builds the forward and backward lists once per cell step,
+dynamic graph first, and leaves out every support whose coefficient is
+exactly 0; `dgconv_forward` likewise adds no skip term when alpha is 0. So
+disabling a branch via config is bit-identical to a build without it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 
 @dataclass
 class ConvParams:
-    """One direction of a K-hop convolution: K+1 weights plus mixing levels."""
+    """One direction of a K-hop convolution: K+1 weights plus the skip level."""
 
     hop_weights: list        # K+1 tensors, each D_in x D_out
     alpha_mix: float         # input skip term
-    beta_mix: float          # dynamic-graph diffusion term
-    gamma_mix: float         # static-graph diffusion term
 
     def __post_init__(self):
         if not self.hop_weights:
             raise ConfigError("hop_weights must hold at least the hop-0 weight")
-        for name, v in (("alpha_mix", self.alpha_mix),
-                        ("beta_mix", self.beta_mix),
-                        ("gamma_mix", self.gamma_mix)):
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError("%s must lie in [0,1]; got %r" % (name, v))
-
-    @property
-    def hops(self) -> int:
-        return len(self.hop_weights) - 1
+        if not 0.0 <= self.alpha_mix <= 1.0:
+            raise ConfigError("alpha_mix must lie in [0,1]; got %r" % (self.alpha_mix,))
 
 
-def dgconv_forward(h_in, dyn, stat, p: ConvParams, direction: str = "forward"):
-    """K-hop convolution of h_in (B x N x D_in) -> B x N x D_out.
+def supports(graph, dyn, beta_mix: float, gamma_mix: float, dtype):
+    """(forward, backward) support lists over the dynamic and static graphs.
 
-    dyn may be None when beta_mix == 0 (static-only convolution, as in the
-    hyper-network). direction="backward" aggregates along the transposed,
-    renormalized graphs with this direction's own weights.
+    dyn may be None, leaving the static graph only. The backward list holds
+    the transposed, renormalized graphs.
     """
-    if p.beta_mix > 0.0 and dyn is None:
-        raise ConfigError(
-            "beta_mix=%r requires a dynamic graph but none was supplied" % p.beta_mix
-        )
-    if direction not in ("forward", "backward"):
-        raise ConfigError("unknown direction %r" % direction)
-    n = stat.n_nodes
-    if h_in.ndim < 2 or h_in.shape[-2] != n:
-        raise DimensionError(
-            "input shape %r does not match graph with %d nodes" % (h_in.shape, n)
-        )
-    fwd_t, bwd_t = stat.norm_pair(h_in.dtype)
-    stat_m = fwd_t if direction == "forward" else bwd_t
-    dyn_m = None
-    if dyn is not None and p.beta_mix > 0.0:
-        dyn_m = dyn.normalized if direction == "forward" else dyn.normalized_bwd
+    fwd, bwd = [], []
+    if dyn is not None and beta_mix != 0.0:
+        fwd.append((beta_mix, dyn.normalized))
+        bwd.append((beta_mix, dyn.normalized_bwd))
+    if gamma_mix != 0.0:
+        stat_fwd, stat_bwd = graph.norm_pair(dtype)
+        fwd.append((gamma_mix, stat_fwd))
+        bwd.append((gamma_mix, stat_bwd))
+    return fwd, bwd
 
+
+def dgconv_forward(h_in, supports, p: ConvParams):
+    """K-hop convolution of h_in (B x N x D_in) -> B x N x D_out."""
     # the skip term is the same at every hop: build it once
-    skip = h_in * p.alpha_mix if p.alpha_mix != 0.0 and p.hops >= 1 else None
+    skip = h_in * p.alpha_mix if p.alpha_mix != 0.0 and len(p.hop_weights) > 1 else None
     h = h_in
     out = T.matmul(h_in, p.hop_weights[0])
-    for k in range(1, len(p.hop_weights)):
+    for w in p.hop_weights[1:]:
         acc = skip
-        if dyn_m is not None:
-            acc = _mix(acc, T.matmul(dyn_m, h), p.beta_mix)
-        if p.gamma_mix != 0.0:
-            acc = _mix(acc, T.matmul(stat_m, h), p.gamma_mix)
-        if acc is None:
-            # every branch disabled: the hop recurrence collapses to zero
-            acc = T.zeros(h.shape, dtype=h.dtype)
-        h = acc
-        out = out + T.matmul(h, p.hop_weights[k])
+        for coef, a in supports:
+            # acc + coef * A h as one tape node; the first term starts the sum
+            diffused = T.matmul(a, h)
+            acc = diffused * coef if acc is None else T.scaled_add(acc, diffused, coef)
+        # with every term disabled the hop recurrence collapses to zero
+        h = T.zeros(h.shape, dtype=h.dtype) if acc is None else acc
+        out = out + T.matmul(h, w)
     return out
 
 
-def _mix(acc, diffused, coef):
-    # acc + coef * diffused as one tape node; the first term starts the sum
-    return diffused * coef if acc is None else T.scaled_add(acc, diffused, coef)
-
-
-def dual_dgconv(h_in, dyn, stat, p_fwd: ConvParams, p_bwd: ConvParams):
+def dual_dgconv(h_in, fwd, bwd, p_fwd: ConvParams, p_bwd: ConvParams):
     """Sum of forward- and backward-direction convolutions, independent weights each."""
-    return dgconv_forward(h_in, dyn, stat, p_fwd, "forward") + dgconv_forward(
-        h_in, dyn, stat, p_bwd, "backward"
-    )
+    return dgconv_forward(h_in, fwd, p_fwd) + dgconv_forward(h_in, bwd, p_bwd)

@@ -340,30 +340,31 @@ def synth_generate(n_nodes: int, n_days: int, graph, seed: int,
     # each T x N table is released once used and the speed is built in place
     starts = rng.random((t_total, n)) < congestion_rate
     durations = rng.integers(6, 25, size=(t_total, n))
-    c_src = np.zeros((t_total, n))
+    c_src = np.zeros((t_total, n), dtype=bool)
     for t, v in np.argwhere(starts):
-        c_src[t:t + durations[t, v], v] = 1.0
+        c_src[t:t + durations[t, v], v] = True
     del starts, durations
 
-    # spread along directed edges with one-step lag and damping 0.6
-    neighbor = (graph.adjacency > 0.0) & ~np.eye(n, dtype=bool)
+    # spread along directed edges with one-step lag and damping 0.6; the
+    # damping sits in the edge weights, which is exact: c >= 0 and rounding
+    # is monotone, so max(0.6 * c) == 0.6 * max(c) bit for bit
+    damped = np.where((graph.adjacency > 0.0) & ~np.eye(n, dtype=bool), 0.6, 0.0)
     c = np.zeros((t_total, n))
     c[0] = c_src[0]
     for t in range(1, t_total):
-        inbound = np.where(neighbor, c[t - 1][:, None], 0.0).max(axis=0)
-        c[t] = np.maximum(c_src[t], 0.6 * inbound)
+        np.maximum(c_src[t], (damped * c[t - 1, :, None]).max(axis=0), out=c[t])
     del c_src
 
-    # base - c*(base - 15) + noise_std*noise, with the same roundings
-    speed = base - 15.0
-    speed *= c
+    # base - c*(base - 15) + noise_std*noise, with the same roundings; the
+    # product is formed inside c one day of rows at a time
+    for lo in range(0, t_total, spd):
+        c[lo:lo + spd] *= base[lo:lo + spd] - 15.0
+    np.subtract(base, c, out=base)
     del c
-    np.subtract(base, speed, out=speed)
-    del base
     noise = rng.standard_normal((t_total, n))
     noise *= noise_std
-    speed += noise
-    return SpeedSeries(speed, dt_seconds, start_epoch)
+    base += noise
+    return SpeedSeries(base, dt_seconds, start_epoch)
 
 
 # -- text file interface ----------------------------------------------------------------

@@ -39,13 +39,6 @@ class HyperNetParams:
     proj_w: Tensor          # D_h (or D_in when conv is None) x filter_dim
     proj_b: Tensor          # filter_dim
 
-    def __post_init__(self):
-        if self.conv is not None and self.conv.beta_mix != 0.0:
-            raise ConfigError(
-                "hyper-network convolution must not use the dynamic graph "
-                "(beta_mix=%r)" % self.conv.beta_mix
-            )
-
 
 @dataclass
 class GeneratorParams:
@@ -75,14 +68,10 @@ class GeneratorParams:
             raise ConfigError("filter_mode %r requires both hyper-networks" % self.filter_mode)
 
 
-def hyper_forward(inp, graph, params: HyperNetParams):
-    """Dynamic filter from the hyper-network: static-only conv, then projection."""
-    if inp.ndim != 3 or inp.shape[-2] != graph.n_nodes:
-        raise DimensionError(
-            "hyper input shape %r does not match graph with %d nodes"
-            % (inp.shape, graph.n_nodes)
-        )
-    h = inp if params.conv is None else dgconv_forward(inp, None, graph, params.conv)
+def hyper_forward(inp, static_fwd, params: HyperNetParams):
+    """Dynamic filter from the hyper-network: conv over the static forward
+    supports, then projection."""
+    h = inp if params.conv is None else dgconv_forward(inp, static_fwd, params.conv)
     return T.matmul(h, params.proj_w) + params.proj_b
 
 
@@ -145,22 +134,25 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     )
 
 
-def generate(inp, graph, params: GeneratorParams) -> DynamicGraph:
-    """Full generator chain for one step: filters, modulation, adjacency."""
-    n = graph.n_nodes
+def generate(inp, static_fwd, params: GeneratorParams) -> DynamicGraph:
+    """Full generator chain for one step: filters, modulation, adjacency.
+
+    inp: B x N x D_in; static_fwd: the static forward supports the
+    hyper-network convolutions diffuse over.
+    """
+    b, n = inp.shape[:2]
     if params.emb_src.shape[0] != n:
         raise DimensionError(
-            "embedding tables have %d rows, graph has %d nodes"
+            "embedding tables have %d rows, input has %d nodes"
             % (params.emb_src.shape[0], n)
         )
     if params.filter_mode == "frozen":
-        b = inp.shape[0]
         d_e = params.emb_src.shape[1]
         # constant all-ones filters run through the ordinary batched path
         df = T.ones((b, n, d_e), dtype=params.emb_src.dtype)
         df_src = df_tgt = df
     else:
-        df_src = hyper_forward(inp, graph, params.hyper_src)
-        df_tgt = hyper_forward(inp, graph, params.hyper_tgt)
+        df_src = hyper_forward(inp, static_fwd, params.hyper_src)
+        df_tgt = hyper_forward(inp, static_fwd, params.hyper_tgt)
     de1, de2 = dynamic_embeddings(df_src, df_tgt, params)
     return dynamic_adjacency(de1, de2, params.alpha_sat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .conv import ConvParams, dual_dgconv
+from .conv import ConvParams, dual_dgconv, supports
 from .errors import ConfigError, DimensionError
 from .generator import GeneratorParams, HyperNetParams, generate
 from .tensor import Tensor
@@ -69,6 +69,8 @@ class CellParams:
     theta_z: tuple                    # (forward ConvParams, backward ConvParams)
     theta_r: tuple
     theta_h: tuple
+    beta_mix: float                   # dynamic-graph diffusion term
+    gamma_mix: float                  # static-graph diffusion term
 
 
 @dataclass
@@ -92,7 +94,7 @@ def _zeros(shape, dtype) -> Tensor:
 def _init_gate(rng, hp: HyperParams, d_in: int, dtype):
     def one_direction():
         ws = [_uniform(rng, d_in, (d_in, hp.hidden), dtype) for _ in range(hp.hops + 1)]
-        return ConvParams(ws, hp.alpha_mix, hp.beta_mix, hp.gamma_mix)
+        return ConvParams(ws, hp.alpha_mix)
 
     return one_direction(), one_direction()
 
@@ -106,7 +108,7 @@ def _init_hypernet(rng, hp: HyperParams, d_in: int, d_f: int, dtype):
         )
     conv = ConvParams(
         [_uniform(rng, d_in, (d_in, hp.hyper_dim), dtype) for _ in range(hp.hyper_hops + 1)],
-        hp.alpha_mix, 0.0, hp.gamma_mix,
+        hp.alpha_mix,
     )
     return HyperNetParams(
         conv=conv,
@@ -145,6 +147,8 @@ def _init_cell(rng, hp: HyperParams, n_nodes: int, dtype, shared_emb=None) -> Ce
         theta_z=_init_gate(rng, hp, d_in, dtype),
         theta_r=_init_gate(rng, hp, d_in, dtype),
         theta_h=_init_gate(rng, hp, d_in, dtype),
+        beta_mix=hp.beta_mix,
+        gamma_mix=hp.gamma_mix,
     )
 
 
@@ -247,11 +251,14 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
         )
     # [speed, time-of-day, hidden]: the generator and the z/r gates read it
     xh = T.concat([x_t, h_prev], axis=-1)
-    dyn = None if cell.gen is None else generate(xh, graph, cell.gen)
-    z = T.sigmoid(dual_dgconv(xh, dyn, graph, *cell.theta_z))
-    r = T.sigmoid(dual_dgconv(xh, dyn, graph, *cell.theta_r))
+    # the hyper-networks diffuse over the static forward graph only
+    static_fwd, _ = supports(graph, None, cell.beta_mix, cell.gamma_mix, xh.dtype)
+    dyn = None if cell.gen is None else generate(xh, static_fwd, cell.gen)
+    fwd, bwd = supports(graph, dyn, cell.beta_mix, cell.gamma_mix, xh.dtype)
+    z = T.sigmoid(dual_dgconv(xh, fwd, bwd, *cell.theta_z))
+    r = T.sigmoid(dual_dgconv(xh, fwd, bwd, *cell.theta_r))
     xrh = T.concat([x_t, r * h_prev], axis=-1)
-    h_cand = T.tanh(dual_dgconv(xrh, dyn, graph, *cell.theta_h))
+    h_cand = T.tanh(dual_dgconv(xrh, fwd, bwd, *cell.theta_h))
     h_t = T.gru_update(z, h_prev, h_cand)
     T.assert_finite(h_t, "%s: hidden state" % step_label)
     return h_t, dyn

@@ -296,6 +296,19 @@ def test_bench_trains_like_train(workdir, tmp_path):
         _log_sans_seconds(str(benched / "training_log.csv"))
 
 
+def test_eval_of_bench_checkpoint_matches_bench_report(workdir, tmp_path, capsys):
+    benched, evaluated = tmp_path / "bench", tmp_path / "ev"
+    assert main(["bench", "--config", workdir["cfg"], "--seed", "1",
+                 "--out", str(benched), "--quiet"]) == 0
+    assert main(["eval", str(benched / "checkpoint.ckpt"), "--config", workdir["cfg"],
+                 "--out", str(evaluated)]) == 0
+    capsys.readouterr()
+    bench_rows = [r for r in MT.load_report_csv(str(benched / "report.csv"))
+                  if r[0] == "DGCRN"]
+    assert [r[1] for r in bench_rows] == [1, 2]
+    assert MT.load_report_csv(str(evaluated / "report.csv")) == bench_rows
+
+
 def test_analyze(workdir, tmp_path, capsys):
     out = tmp_path / "an"
     rc = main(["analyze", "--config", workdir["cfg"], "--out", str(out)])

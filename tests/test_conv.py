@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dgcrn import tensor as T
-from dgcrn.conv import ConvParams, dgconv_forward, dual_dgconv
+from dgcrn.conv import ConvParams, dgconv_forward, dual_dgconv, supports
 from dgcrn.errors import ConfigError, DimensionError
 from dgcrn.generator import dynamic_adjacency
 from dgcrn.graphs import StaticGraph
@@ -15,10 +15,10 @@ def _uniform_graph(n):
     return StaticGraph(np.ones((n, n)))
 
 
-def _params(rng, d_in, d_out, k, alpha, beta, gamma):
+def _params(rng, d_in, d_out, k, alpha):
     ws = [T.Tensor(rng.uniform(-0.5, 0.5, (d_in, d_out)), requires_grad=True)
           for _ in range(k + 1)]
-    return ConvParams(ws, alpha, beta, gamma)
+    return ConvParams(ws, alpha)
 
 
 def _random_dyn(rng, b, n, d_e=3, alpha_sat=2.0):
@@ -30,19 +30,21 @@ def _random_dyn(rng, b, n, d_e=3, alpha_sat=2.0):
 def test_hand_example_two_nodes():
     g = _uniform_graph(2)  # forward_norm [[.5,.5],[.5,.5]]
     w = [T.Tensor([[1.0]]), T.Tensor([[1.0]])]
-    p = ConvParams(w, alpha_mix=1.0, beta_mix=0.0, gamma_mix=1.0)
+    p = ConvParams(w, alpha_mix=1.0)
     h = T.Tensor([[[1.0], [2.0]]])
-    out = dgconv_forward(h, None, g, p)
+    fwd, _ = supports(g, None, 0.0, 1.0, h.dtype)
+    out = dgconv_forward(h, fwd, p)
     assert np.allclose(out.data, [[[3.5], [5.5]]], atol=1e-12)
 
 
 def test_zero_hops_ignores_graphs():
     rng = np.random.default_rng(0)
     g = _uniform_graph(3)
-    p = _params(rng, 2, 4, 0, 0.05, 0.95, 0.95)
+    p = _params(rng, 2, 4, 0, 0.05)
     h = T.Tensor(rng.normal(size=(2, 3, 2)))
     dyn, _, _ = _random_dyn(rng, 2, 3)
-    out = dgconv_forward(h, dyn, g, p)
+    fwd, _ = supports(g, dyn, 0.95, 0.95, h.dtype)
+    out = dgconv_forward(h, fwd, p)
     assert np.allclose(out.data, h.data @ p.hop_weights[0].data, atol=1e-12)
 
 
@@ -55,18 +57,21 @@ def test_identity_propagation_with_empty_dynamic_graph():
     g = _uniform_graph(3)
     k = 2
     w = [T.Tensor(np.eye(4)) for _ in range(k + 1)]
-    p = ConvParams(w, alpha_mix=0.0, beta_mix=1.0, gamma_mix=0.0)
+    p = ConvParams(w, alpha_mix=0.0)
     h = T.Tensor(rng.normal(size=(2, 3, 4)))
-    out = dgconv_forward(h, dyn, g, p)
+    fwd, _ = supports(g, dyn, 1.0, 0.0, h.dtype)
+    out = dgconv_forward(h, fwd, p)
     assert np.allclose(out.data, (k + 1) * h.data, atol=1e-12)
 
 
 def test_pure_skip_sums_weights():
     rng = np.random.default_rng(2)
     g = _uniform_graph(4)
-    p = _params(rng, 3, 2, 2, 1.0, 0.0, 0.0)
+    p = _params(rng, 3, 2, 2, 1.0)
     h = T.Tensor(rng.normal(size=(1, 4, 3)))
-    out = dgconv_forward(h, None, g, p)
+    fwd, _ = supports(g, None, 0.0, 0.0, h.dtype)
+    assert fwd == []
+    out = dgconv_forward(h, fwd, p)
     wsum = sum(w.data for w in p.hop_weights)
     assert np.allclose(out.data, h.data @ wsum, atol=1e-12)
 
@@ -84,44 +89,77 @@ def test_aggregation_preserves_value_bounds():
         assert np.all(agg <= hi + 1e-12)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_matches_reference_evaluator(seed):
+# (beta, gamma) per support subset; alpha stays 0.05, so "none" is the
+# skip term alone
+_SUBSETS = {"both": (0.95, 0.95), "dynamic": (0.95, 0.0),
+            "static": (0.0, 0.95), "none": (0.0, 0.0)}
+# both supports run under the bare seed ids, the other subsets are named
+_REFERENCE_CASES = [pytest.param(seed, "both", id=str(seed)) for seed in range(6)] + [
+    pytest.param(seed, subset, id="%s-%d" % (subset, seed))
+    for subset in ("dynamic", "static", "none") for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("seed,subset", _REFERENCE_CASES)
+def test_matches_reference_evaluator(seed, subset):
+    beta, gamma = _SUBSETS[subset]
     rng = np.random.default_rng(seed)
     b, n, d_in, d_out, k = 2, 4, 3, 2, 2
     g = StaticGraph(rng.uniform(0.05, 1.0, (n, n)))
-    p = _params(rng, d_in, d_out, k, 0.05, 0.95, 0.95)
+    p = _params(rng, d_in, d_out, k, 0.05)
     h = T.Tensor(rng.normal(size=(b, n, d_in)))
     dyn, _, _ = _random_dyn(rng, b, n)
-    out = dgconv_forward(h, dyn, g, p)
+    fwd, bwd = supports(g, dyn, beta, gamma, h.dtype)
+    assert len(fwd) == len(bwd) == (beta != 0.0) + (gamma != 0.0)
+    out = dgconv_forward(h, fwd, p)
     ref = khop_conv_ref(
         h.data, g.forward_norm, dyn.normalized.data,
-        [w.data for w in p.hop_weights], 0.05, 0.95, 0.95,
+        [w.data for w in p.hop_weights], 0.05, beta, gamma,
     )
     assert np.allclose(out.data, ref, atol=1e-12)
-    out_b = dgconv_forward(h, dyn, g, p, direction="backward")
+    out_b = dgconv_forward(h, bwd, p)
     ref_b = khop_conv_ref(
         h.data, g.backward_norm, dyn.normalized_bwd.data,
-        [w.data for w in p.hop_weights], 0.05, 0.95, 0.95,
+        [w.data for w in p.hop_weights], 0.05, beta, gamma,
     )
     assert np.allclose(out_b.data, ref_b, atol=1e-12)
+
+
+def test_supports_order_and_zero_terms():
+    rng = np.random.default_rng(10)
+    g = StaticGraph(rng.uniform(0.05, 1.0, (3, 3)))
+    dyn, _, _ = _random_dyn(rng, 2, 3)
+    stat_f, stat_b = g.norm_pair(np.float64)
+    fwd, bwd = supports(g, dyn, 0.3, 0.7, np.float64)
+    # dynamic first, then static, each with its own coefficient
+    assert [c for c, _ in fwd] == [c for c, _ in bwd] == [0.3, 0.7]
+    assert fwd[0][1] is dyn.normalized and fwd[1][1] is stat_f
+    assert bwd[0][1] is dyn.normalized_bwd and bwd[1][1] is stat_b
+    # a zero coefficient, or no dynamic graph, leaves the term out
+    assert supports(g, dyn, 0.0, 0.7, np.float64) == ([(0.7, stat_f)], [(0.7, stat_b)])
+    assert supports(g, None, 0.3, 0.7, np.float64) == ([(0.7, stat_f)], [(0.7, stat_b)])
+    assert supports(g, dyn, 0.3, 0.0, np.float64) == (
+        [(0.3, dyn.normalized)], [(0.3, dyn.normalized_bwd)])
+    assert supports(g, dyn, 0.0, 0.0, np.float64) == ([], [])
 
 
 def test_dual_is_sum_of_directions():
     rng = np.random.default_rng(7)
     b, n, d_in, d_out = 2, 3, 2, 2
     g = StaticGraph(rng.uniform(0.05, 1.0, (n, n)))
-    pf = _params(rng, d_in, d_out, 2, 0.05, 0.95, 0.95)
-    pb = _params(rng, d_in, d_out, 2, 0.05, 0.95, 0.95)
+    pf = _params(rng, d_in, d_out, 2, 0.05)
+    pb = _params(rng, d_in, d_out, 2, 0.05)
     h = T.Tensor(rng.normal(size=(b, n, d_in)))
     dyn, _, _ = _random_dyn(rng, b, n)
-    out = dual_dgconv(h, dyn, g, pf, pb)
-    fwd = dgconv_forward(h, dyn, g, pf, "forward")
-    bwd = dgconv_forward(h, dyn, g, pb, "backward")
-    assert np.allclose(out.data, fwd.data + bwd.data, atol=1e-12)
+    fwd, bwd = supports(g, dyn, 0.95, 0.95, h.dtype)
+    out = dual_dgconv(h, fwd, bwd, pf, pb)
+    out_f = dgconv_forward(h, fwd, pf)
+    out_b = dgconv_forward(h, bwd, pb)
+    assert np.allclose(out.data, out_f.data + out_b.data, atol=1e-12)
     # zero weights in both directions collapse to zero output
-    zf = ConvParams([T.zeros((d_in, d_out)) for _ in range(3)], 0.05, 0.95, 0.95)
-    zb = ConvParams([T.zeros((d_in, d_out)) for _ in range(3)], 0.05, 0.95, 0.95)
-    assert not np.any(dual_dgconv(h, dyn, g, zf, zb).data)
+    zf = ConvParams([T.zeros((d_in, d_out)) for _ in range(3)], 0.05)
+    zb = ConvParams([T.zeros((d_in, d_out)) for _ in range(3)], 0.05)
+    assert not np.any(dual_dgconv(h, fwd, bwd, zf, zb).data)
 
 
 def test_symmetric_graph_directions_coincide():
@@ -131,12 +169,11 @@ def test_symmetric_graph_directions_coincide():
     g = StaticGraph(a + a.T)
     de = T.Tensor(rng.normal(size=(1, n, 2)))
     dyn = dynamic_adjacency(de, de, 1.0)  # raw = 0
-    p = _params(rng, 2, 2, 1, 0.05, 0.95, 0.95)
+    p = _params(rng, 2, 2, 1, 0.05)
     x = T.Tensor(rng.normal(size=(1, n, 2)))
+    fwd, bwd = supports(g, dyn, 0.95, 0.95, x.dtype)
     assert np.allclose(
-        dgconv_forward(x, dyn, g, p, "forward").data,
-        dgconv_forward(x, dyn, g, p, "backward").data,
-        atol=1e-12,
+        dgconv_forward(x, fwd, p).data, dgconv_forward(x, bwd, p).data, atol=1e-12,
     )
 
 
@@ -145,8 +182,8 @@ def test_gradients_match_fd(seed):
     rng = np.random.default_rng(seed + 100)
     b, n, d_in, d_out = 1, 3, 2, 2
     g = StaticGraph(rng.uniform(0.1, 1.0, (n, n)))
-    pf = _params(rng, d_in, d_out, 2, 0.3, 0.5, 0.4)
-    pb = _params(rng, d_in, d_out, 2, 0.3, 0.5, 0.4)
+    pf = _params(rng, d_in, d_out, 2, 0.3)
+    pb = _params(rng, d_in, d_out, 2, 0.3)
     h = T.Tensor(rng.normal(size=(b, n, d_in)), requires_grad=True)
     de1 = T.Tensor(rng.normal(size=(b, n, 2)), requires_grad=True)
     de2 = T.Tensor(rng.normal(size=(b, n, 2)), requires_grad=True)
@@ -154,7 +191,8 @@ def test_gradients_match_fd(seed):
 
     def build():
         dyn = dynamic_adjacency(de1, de2, 2.0)
-        return (dual_dgconv(h, dyn, g, pf, pb) * probe).sum()
+        fwd, bwd = supports(g, dyn, 0.5, 0.4, h.dtype)
+        return (dual_dgconv(h, fwd, bwd, pf, pb) * probe).sum()
 
     leaves = [h, de1, de2, pf.hop_weights[0], pf.hop_weights[2], pb.hop_weights[1]]
     loss = build()
@@ -167,17 +205,15 @@ def test_gradients_match_fd(seed):
 def test_conv_errors():
     rng = np.random.default_rng(9)
     g = _uniform_graph(3)
-    p = _params(rng, 2, 2, 1, 0.05, 0.95, 0.95)
-    h = T.Tensor(rng.normal(size=(1, 3, 2)))
+    dyn, _, _ = _random_dyn(rng, 1, 3)
+    h4 = T.Tensor(rng.normal(size=(1, 4, 2)))
+    p = _params(rng, 2, 2, 1, 1.0)
+    # a support whose node count differs from the input's
+    for beta, gamma in ((0.0, 1.0), (1.0, 0.0)):
+        fwd, _ = supports(g, dyn, beta, gamma, h4.dtype)
+        with pytest.raises(DimensionError):
+            dgconv_forward(h4, fwd, p)
     with pytest.raises(ConfigError):
-        dgconv_forward(h, None, g, p)  # beta > 0 but no dynamic graph
-    with pytest.raises(DimensionError):
-        dgconv_forward(T.Tensor(rng.normal(size=(1, 4, 2))), None, g,
-                       _params(rng, 2, 2, 1, 1.0, 0.0, 0.0))
+        ConvParams([], 0.5)
     with pytest.raises(ConfigError):
-        ConvParams([], 0.5, 0.5, 0.5)
-    with pytest.raises(ConfigError):
-        ConvParams([T.zeros((2, 2))], 1.5, 0.5, 0.5)
-    with pytest.raises(ConfigError):
-        dgconv_forward(h, None, g, _params(rng, 2, 2, 1, 1.0, 0.0, 0.0),
-                       direction="sideways")
+        ConvParams([T.zeros((2, 2))], 1.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgcrn import tensor as T
-from dgcrn.conv import ConvParams
+from dgcrn.conv import ConvParams, supports
 from dgcrn.errors import ConfigError, DimensionError
 from dgcrn.generator import (
     DynamicGraph,
@@ -24,7 +24,7 @@ def _hyper(rng, d_in, d_h, d_f, k=1):
     conv = ConvParams(
         [T.Tensor(rng.uniform(-0.5, 0.5, (d_in, d_h)), requires_grad=True)
          for _ in range(k + 1)],
-        alpha_mix=0.05, beta_mix=0.0, gamma_mix=0.95,
+        alpha_mix=0.05,
     )
     return HyperNetParams(
         conv=conv,
@@ -46,39 +46,32 @@ def _gen_params(rng, n, d_e, d_in, d_h, mode="hadamard", alpha_sat=2.0):
     )
 
 
+def _static(g, gamma=0.95):
+    """The static forward supports a cell step hands the generator."""
+    return supports(g, None, 0.0, gamma, np.float64)[0]
+
+
 # -- hyper_forward ----------------------------------------------------------------
 
 def test_hyper_zero_params_gives_zero_filter():
     g = StaticGraph(np.ones((2, 2)))
-    conv = ConvParams([T.zeros((3, 2)), T.zeros((3, 2))], 0.05, 0.0, 0.95)
+    conv = ConvParams([T.zeros((3, 2)), T.zeros((3, 2))], 0.05)
     hp = HyperNetParams(conv, T.zeros((2, 4)), T.zeros(4))
-    out = hyper_forward(T.ones((1, 2, 3)), g, hp)
+    out = hyper_forward(T.ones((1, 2, 3)), _static(g), hp)
     assert not np.any(out.data)
 
 
 def test_hyper_hand_example_and_reference():
     # N=2 uniform graph, scalar dims, unit weights, full skip and static mixing
     g = StaticGraph(np.ones((2, 2)))
-    conv = ConvParams([T.ones((1, 1)), T.ones((1, 1))], 1.0, 0.0, 1.0)
+    conv = ConvParams([T.ones((1, 1)), T.ones((1, 1))], 1.0)
     hp = HyperNetParams(conv, T.ones((1, 1)), T.zeros(1))
     inp = T.Tensor([[[1.0], [3.0]]])
-    out = hyper_forward(inp, g, hp)
+    out = hyper_forward(inp, _static(g, gamma=1.0), hp)
     # hop0 = [1,3]; hop1 = input + avg = [3,5]; sum = [4,8]; projection is identity
     assert np.allclose(out.data, [[[4.0], [8.0]]], atol=1e-12)
     ref = khop_conv_ref(inp.data, g.forward_norm, None, [np.ones((1, 1))] * 2, 1.0, 0.0, 1.0)
     assert np.allclose(out.data, ref @ np.ones((1, 1)), atol=1e-12)
-
-
-def test_hyper_rejects_dynamic_mixing_and_bad_nodes():
-    with pytest.raises(ConfigError):
-        HyperNetParams(
-            ConvParams([T.zeros((3, 2))], 0.05, 0.5, 0.95),
-            T.zeros((2, 4)), T.zeros(4),
-        )
-    g = StaticGraph(np.ones((2, 2)))
-    hp = HyperNetParams(None, T.zeros((3, 4)), T.zeros(4))
-    with pytest.raises(DimensionError):
-        hyper_forward(T.ones((1, 5, 3)), g, hp)
 
 
 def test_hyper_affine_mode():
@@ -86,7 +79,7 @@ def test_hyper_affine_mode():
     w = np.array([[1.0, 0.0], [0.0, 2.0]])
     hp = HyperNetParams(None, T.Tensor(w), T.Tensor([0.5, -0.5]))
     inp = T.Tensor(np.ones((1, 3, 2)))
-    out = hyper_forward(inp, g, hp)
+    out = hyper_forward(inp, _static(g), hp)
     assert np.allclose(out.data, np.ones((1, 3, 2)) @ w + [0.5, -0.5], atol=1e-12)
 
 
@@ -191,8 +184,8 @@ def test_generate_deterministic_and_counts():
     g = _graph(rng, n)
     p = _gen_params(rng, n, 2, 2 + h, 2)
     inp = T.Tensor(rng.normal(size=(2, n, 2 + h)))
-    d1 = generate(inp, g, p)
-    d2 = generate(inp, g, p)
+    d1 = generate(inp, _static(g), p)
+    d2 = generate(inp, _static(g), p)
     assert np.array_equal(d1.raw.data, d2.raw.data)
     assert d1.raw.shape == (2, n, n)
 
@@ -203,7 +196,7 @@ def test_frozen_filters_bitwise_equal_static_adaptive():
     g = _graph(rng, n)
     p = _gen_params(rng, n, d_e, 6, 2, mode="frozen", alpha_sat=3.0)
     inp = T.Tensor(rng.normal(size=(b, n, 6)))
-    dyn = generate(inp, g, p)
+    dyn = generate(inp, _static(g), p)
     expect = static_adaptive_ref(p.emb_src.data, p.emb_tgt.data, 3.0)
     for i in range(b):
         assert np.array_equal(dyn.raw.data[i], expect)
@@ -222,7 +215,7 @@ def test_identity_filter_via_zero_conv_and_unit_bias():
         hp.proj_w.data[:] = 0.0
         hp.proj_b.data[:] = 1.0
     inp = T.Tensor(rng.normal(size=(2, n, 2 + h)))
-    dyn = generate(inp, g, p)
+    dyn = generate(inp, _static(g), p)
     expect = static_adaptive_ref(p.emb_src.data, p.emb_tgt.data, 2.0)
     for i in range(2):
         assert np.array_equal(dyn.raw.data[i], expect)
@@ -238,7 +231,7 @@ def test_generate_end_to_end_gradients(mode):
     probe = T.Tensor(rng.normal(size=(b, n, n)))
 
     def build():
-        dyn = generate(inp, g, p)
+        dyn = generate(inp, _static(g), p)
         return (dyn.normalized * probe).sum() + dyn.normalized_bwd.sum() * 0.25
 
     leaves = [p.emb_src, p.emb_tgt, inp,
@@ -266,4 +259,4 @@ def test_generator_params_validation():
     g = StaticGraph(np.ones((4, 4)))
     p = GeneratorParams(emb, emb, None, None, alpha_sat=1.0, filter_mode="frozen")
     with pytest.raises(DimensionError):
-        generate(T.zeros((1, 4, 4)), g, p)
+        generate(T.zeros((1, 4, 4)), _static(g), p)

@@ -114,6 +114,41 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
     assert calls["n"] == 3 + 2
 
 
+# T.matmul and T.scaled_add calls in one cell step at hops = hyper_hops = 2.
+# A mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
+# and the dynamic diffusions, gamma 0 the static ones, and alpha 0 the skip
+# term, so each hop's sum starts from its first diffusion.
+@pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
+    ({}, 56, 28),
+    ({"alpha_mix": 0.0}, 56, 12),
+    ({"beta_mix": 0.0}, 30, 12),
+    ({"gamma_mix": 0.0}, 40, 12),
+    ({"filter_mode": "frozen"}, 44, 24),
+    ({"hypernet": "affine"}, 46, 24),
+    ({"filter_mode": "matmul"}, 58, 28),
+], ids=["full", "alpha0", "beta0", "gamma0", "frozen", "affine", "matmul"])
+def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_adds):
+    rng = np.random.default_rng(12)
+    g = _graph(rng, 4)
+    params = M.init_model(_tiny_hp(hyper_hops=2, **overrides), 4, seed=12,
+                          dtype=np.float64)
+    calls = {"matmul": 0, "scaled_add": 0}
+
+    def counting(name):
+        real = getattr(T, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(T, name, counting(name))
+    M.cell_step(T.Tensor(rng.normal(size=(2, 4, 2))), T.Tensor(rng.normal(size=(2, 4, 4))),
+                g, params.encoder)
+    assert calls == {"matmul": matmuls, "scaled_add": scaled_adds}
+
+
 def test_readout_zero_and_constant():
     rng = np.random.default_rng(5)
     params = M.init_model(_tiny_hp(), 3, seed=4, dtype=np.float64)

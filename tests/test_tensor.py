@@ -469,7 +469,8 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
     dyn = SimpleNamespace(normalized=T.self_loop_normalize(raw),
                           normalized_bwd=T.self_loop_normalize(raw.mT))
     weights = [_leaf(rng, (d, 4)) for _ in range(3)]
-    params = conv.ConvParams(weights, alpha_mix=0.05, beta_mix=0.95, gamma_mix=0.95)
+    params = conv.ConvParams(weights, alpha_mix=0.05)
+    fwd, _ = conv.supports(graph, dyn, 0.95, 0.95, np.float64)
     products, operands = [], []
     matmul = T.matmul
 
@@ -481,7 +482,7 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "matmul", recording)
-    out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, dyn, graph, params)
+    out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, fwd, params)
     assert len(products) == 7  # hop 0, then (dynamic, static, weight) per hop
     assert all(r() is None for r in products)
     assert all(r() is not None for r, read in operands if read)
