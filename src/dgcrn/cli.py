@@ -3,10 +3,12 @@
 Commands: gen-data, build-graph, train, eval, gradcheck, bench, analyze.
 Exit codes: 0 success, 1 validation or usage error, 2 numeric failure.
 
-Every run writes a `<command>.manifest.json` next to its outputs recording
-the command, the resolved config, the seed, input and output paths, and
-start/end timestamps, so any artifact can be traced back to the exact
-invocation that produced it.
+`main` loads the config, creates `--out` and writes `<command>.manifest.json`
+for every command that reads a config, recording the command, the resolved
+config, the seed, input and output paths, and start/end timestamps, so any
+artifact can be traced back to the exact invocation that produced it. Each
+`_cmd_*(args, cfg, out)` does only its own work and returns the manifest's
+`(seed, inputs, outputs)`.
 
 Only the standard library is imported at module scope: DGCRN_THREADS must
 be translated into the BLAS thread caps before numpy first loads.
@@ -61,12 +63,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _ensure_out(path) -> str:
-    out = path or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_manifest(out_dir, command, cfg, seed, inputs, outputs, started):
     from . import __version__
 
@@ -90,7 +86,7 @@ def _write_manifest(out_dir, command, cfg, seed, inputs, outputs, started):
 def _load_cfg(args):
     from .config import apply_ablation, load_config
 
-    cfg = load_config(getattr(args, "config", None))
+    cfg = load_config(args.config)
     name = getattr(args, "ablation", None)
     if name:
         apply_ablation(cfg, name)
@@ -167,17 +163,14 @@ def _progress(row):
 # -- commands -------------------------------------------------------------------------
 
 
-def _cmd_gen_data(args):
+def _cmd_gen_data(args, cfg, out):
     import numpy as np
 
     from . import data as D
     from . import graphs as G
     from . import serialize as S
 
-    cfg = _load_cfg(args)
     seed = args.seed if args.seed is not None else 0
-    out = _ensure_out(args.out)
-    started = _now()
     d = cfg.data
     distances = D.synth_distances(d.n_nodes, seed)
     graph = G.build_adjacency(distances, d.kappa)
@@ -189,36 +182,30 @@ def _cmd_gen_data(args):
     dist_path = os.path.join(out, "distances.csv")
     S.save_speed_bin(speeds_path, series)
     G.write_distance_csv(dist_path, distances)
-    _write_manifest(out, "gen-data", cfg, seed, [],
-                    [speeds_path, dist_path], started)
     missing = 1.0 - float(np.isfinite(series.values).mean())
     print("wrote %s (%d nodes, %d steps, %.1f%% missing) and %s"
           % (speeds_path, series.n_nodes, series.n_steps, 100 * missing, dist_path))
-    return EXIT_OK
+    return seed, [], [speeds_path, dist_path]
 
 
-def _cmd_build_graph(args):
+def _cmd_build_graph(args, cfg, out):
     import numpy as np
 
     from . import graphs as G
     from . import serialize as S
     from .errors import ConfigError
 
-    cfg = _load_cfg(args)
     src = args.distances or cfg.data.distances
     if not src:
         raise ConfigError("no distance file: pass one or set data.distances")
-    out = _ensure_out(args.out)
-    started = _now()
     graph = G.build_adjacency(G.load_distance_csv(src), cfg.data.kappa)
     path = os.path.join(out, "graph.bin")
     S.save_graph_bin(path, graph, cfg.data.kappa)
-    _write_manifest(out, "build-graph", cfg, None, [src], [path], started)
     off_diag = graph.adjacency.copy()
     np.fill_diagonal(off_diag, 0.0)
     print("wrote %s (%d nodes, %d directed edges, kappa %g)"
           % (path, graph.n_nodes, int(np.count_nonzero(off_diag)), cfg.data.kappa))
-    return EXIT_OK
+    return None, [src], [path]
 
 
 def _fit_run(cfg, args):
@@ -254,25 +241,18 @@ def _save_run(out, ablation, params, dataset, history, best_val):
     return ckpt_path, log_path
 
 
-def _cmd_train(args):
-    cfg = _load_cfg(args)
-    out = _ensure_out(args.out)
-    started = _now()
+def _cmd_train(args, cfg, out):
     _, _, dataset, params, history, best_val = _fit_run(cfg, args)
     ckpt_path, log_path = _save_run(out, args.ablation or "", params, dataset, history, best_val)
-    _write_manifest(out, "train", cfg, cfg.train.seed,
-                    [cfg.data.speeds, cfg.data.distances],
-                    [ckpt_path, log_path], started)
     print("best val MAE %.4f after %d epochs; wrote %s"
           % (best_val, len(history), ckpt_path))
-    return EXIT_OK
+    return cfg.train.seed, [cfg.data.speeds, cfg.data.distances], [ckpt_path, log_path]
 
 
-def _write_report(out, args, cfg, rows, output_len):
+def _write_report(out, horizons, rows):
     """Write the requested horizons' rows to report.csv, print them, return the path."""
     from . import metrics as MT
 
-    horizons = _resolve_horizons(args.horizons, cfg.eval.horizons, output_len)
     rows = [r for r in rows if r[1] in horizons]
     report_path = os.path.join(out, "report.csv")
     MT.write_report_csv(report_path, rows)
@@ -280,16 +260,14 @@ def _write_report(out, args, cfg, rows, output_len):
     return report_path
 
 
-def _cmd_eval(args):
+def _cmd_eval(args, cfg, out):
     from . import serialize as S
     from . import training as TR
     from .data import build_dataset
     from .errors import DimensionError
 
-    cfg = _load_cfg(args)
-    out = _ensure_out(args.out)
-    started = _now()
     params, stats, extra = S.load_checkpoint(args.checkpoint)
+    horizons = _resolve_horizons(args.horizons, cfg.eval.horizons, params.hp.output_len)
     series = _load_series(cfg)
     graph = _load_graph(cfg)
     if graph.n_nodes != params.n_nodes:
@@ -302,13 +280,10 @@ def _cmd_eval(args):
     name = extra.get("ablation") or "DGCRN"
     overall, rows = TR.evaluate(params, graph, samples, stats,
                                 batch_size=cfg.eval.batch_size, model_name=name)
-    report_path = _write_report(out, args, cfg, rows, params.hp.output_len)
-    _write_manifest(out, "eval", cfg, None,
-                    [args.checkpoint, cfg.data.speeds, cfg.data.distances],
-                    [report_path], started)
+    report_path = _write_report(out, horizons, rows)
     print("%s split overall: MAE %.4f  RMSE %.4f  MAPE %.2f%%  (n=%d)"
           % (cfg.eval.split, overall[0], overall[1], overall[2], overall[3]))
-    return EXIT_OK
+    return None, [args.checkpoint, cfg.data.speeds, cfg.data.distances], [report_path]
 
 
 def run_gradcheck(seed: int = 0):
@@ -371,14 +346,13 @@ def _cmd_gradcheck(args):
     return EXIT_OK
 
 
-def _cmd_bench(args):
+def _cmd_bench(args, cfg, out):
     from . import metrics as MT
     from . import training as TR
     from .data import split
 
-    cfg = _load_cfg(args)
-    out = _ensure_out(args.out)
-    started = _now()
+    # a bad --horizons must fail before training, not after it
+    horizons = _resolve_horizons(args.horizons, cfg.eval.horizons, cfg.model.output_len)
     series, graph, dataset, params, history, best_val = _fit_run(cfg, args)
     samples = getattr(dataset, cfg.eval.split)
     _, rows = TR.evaluate(params, graph, samples, dataset.stats,
@@ -394,30 +368,24 @@ def _cmd_bench(args):
         MT.persistence_forecast(samples.x, dataset.stats, dataset.output_len),
         samples.y, samples.mask)
 
-    report_path = _write_report(out, args, cfg, rows, cfg.model.output_len)
+    report_path = _write_report(out, horizons, rows)
     ckpt_path, log_path = _save_run(out, "", params, dataset, history, best_val)
-    _write_manifest(out, "bench", cfg, cfg.train.seed,
-                    [cfg.data.speeds, cfg.data.distances],
-                    [ckpt_path, log_path, report_path], started)
-    return EXIT_OK
+    return (cfg.train.seed, [cfg.data.speeds, cfg.data.distances],
+            [ckpt_path, log_path, report_path])
 
 
-def _cmd_analyze(args):
+def _cmd_analyze(args, cfg, out):
     from . import metrics as MT
 
-    cfg = _load_cfg(args)
-    out = _ensure_out(args.out)
-    started = _now()
     series = _load_series(cfg)
     graph = _load_graph(cfg) if cfg.data.distances else None
     report = MT.analyze_dataset(series, graph)
     path = os.path.join(out, "analysis.csv")
     MT.write_analysis_csv(path, report)
     inputs = [cfg.data.speeds] + ([cfg.data.distances] if cfg.data.distances else [])
-    _write_manifest(out, "analyze", cfg, None, inputs, [path], started)
     print(MT.render_analysis(report))
     print("wrote %s" % path)
-    return EXIT_OK
+    return None, inputs, [path]
 
 
 # -- wiring ---------------------------------------------------------------------------
@@ -463,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         if quiet:
             p.add_argument("--quiet", action="store_true",
                            help="suppress per-epoch progress lines")
-        p.set_defaults(func=func)
+        # a command that reads a config runs inside main's manifest step
+        p.set_defaults(func=func, manifest=config)
         return p
 
     add("gen-data", "synthesize a speed dataset plus sensor distances",
@@ -499,7 +468,15 @@ def main(argv=None) -> int:
                          NumericError)
 
     try:
-        return args.func(args)
+        if not args.manifest:
+            return args.func(args)
+        cfg = _load_cfg(args)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        started = _now()
+        seed, inputs, outputs = args.func(args, cfg, out)
+        _write_manifest(out, args.command, cfg, seed, inputs, outputs, started)
+        return EXIT_OK
     except NumericError as e:
         print("numeric failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERIC

@@ -17,21 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .errors import ConfigError
 
 
 @dataclass
 class ConvParams:
-    """One direction of a K-hop convolution: K+1 weights plus the skip level."""
+    """One direction of a K-hop convolution: K+1 weights plus the skip level.
+    Only `model.init_model` builds one, after validating hops and alpha_mix."""
 
     hop_weights: list        # K+1 tensors, each D_in x D_out
-    alpha_mix: float         # input skip term
-
-    def __post_init__(self):
-        if not self.hop_weights:
-            raise ConfigError("hop_weights must hold at least the hop-0 weight")
-        if not 0.0 <= self.alpha_mix <= 1.0:
-            raise ConfigError("alpha_mix must lie in [0,1]; got %r" % (self.alpha_mix,))
+    alpha_mix: float         # input skip term in [0,1]
 
 
 def supports(graph, dyn, beta_mix: float, gamma_mix: float, dtype):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .conv import ConvParams, dgconv_forward
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor
 
 
@@ -42,30 +42,15 @@ class HyperNetParams:
 
 @dataclass
 class GeneratorParams:
-    """Everything one half (encoder or decoder) needs to emit dynamic graphs."""
+    """Everything one half (encoder or decoder) needs to emit dynamic graphs.
+    Only `model.init_model` builds one, after validating alpha_sat and filter_mode."""
 
     emb_src: Tensor                    # N x D_e
     emb_tgt: Tensor                    # N x D_e
-    hyper_src: HyperNetParams | None   # None only in frozen-filter mode
+    hyper_src: HyperNetParams | None   # None exactly in frozen-filter mode
     hyper_tgt: HyperNetParams | None
-    alpha_sat: float                   # saturation rate of tanh pre-activations
+    alpha_sat: float                   # saturation rate of tanh pre-activations, > 0
     filter_mode: str = "hadamard"      # hadamard | matmul | frozen
-
-    def __post_init__(self):
-        if self.alpha_sat <= 0:
-            raise ConfigError("alpha_sat must be positive; got %r" % (self.alpha_sat,))
-        if self.filter_mode not in ("hadamard", "matmul", "frozen"):
-            raise ConfigError("unknown filter_mode %r" % (self.filter_mode,))
-        if self.emb_src.shape != self.emb_tgt.shape or self.emb_src.ndim != 2:
-            raise DimensionError(
-                "embedding tables must share an N x D_e shape; got %r and %r"
-                % (self.emb_src.shape, self.emb_tgt.shape)
-            )
-        if self.filter_mode == "frozen":
-            if self.hyper_src is not None or self.hyper_tgt is not None:
-                raise ConfigError("frozen-filter mode carries no hyper-networks")
-        elif self.hyper_src is None or self.hyper_tgt is None:
-            raise ConfigError("filter_mode %r requires both hyper-networks" % self.filter_mode)
 
 
 def hyper_forward(inp, static_fwd, params: HyperNetParams):
@@ -90,11 +75,6 @@ def dynamic_embeddings(df_src, df_tgt, params: GeneratorParams):
 def _modulate(df, emb, params: GeneratorParams):
     n, d_e = emb.shape
     if params.filter_mode == "matmul":
-        if df.ndim != 3 or df.shape[-1] != d_e * d_e:
-            raise DimensionError(
-                "matmul filter mode needs %d features per node; got shape %r"
-                % (d_e * d_e, df.shape)
-            )
         b = df.shape[0]
         mat = df.reshape(b, n, d_e, d_e)
         row = emb.reshape(1, n, 1, d_e)
@@ -117,13 +97,6 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     the antisymmetry exact; it is ROADMAP item 4, and it changes the number
     of matmuls per cell step.
     """
-    if de_src.shape != de_tgt.shape or de_src.ndim != 3:
-        raise DimensionError(
-            "modulated embeddings must share B x N x D_e; got %r and %r"
-            % (de_src.shape, de_tgt.shape)
-        )
-    if alpha_sat <= 0:
-        raise ConfigError("alpha_sat must be positive; got %r" % (alpha_sat,))
     m1 = T.matmul(de_src, de_tgt.mT)
     m2 = T.matmul(de_tgt, de_src.mT)
     raw = T.relu_tanh_diff(m1, m2, alpha_sat)

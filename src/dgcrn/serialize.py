@@ -14,6 +14,8 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -36,10 +38,10 @@ _META_NAME = "__meta__"
 
 
 def _need(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    # check before reading: a corrupt header may claim more than memory holds
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ConfigError("%s: truncated file" % path)
-    return buf
+    return fh.read(n)
 
 
 def _write_record(fh, name: str, payload):
@@ -101,8 +103,7 @@ def read_container(path, magic: bytes):
                 raise ConfigError("%s: record %r has unknown dtype tag %d" % (path, name, tag))
             dims = struct.unpack("<%dI" % ndim, _need(fh, 4 * ndim, path)) if ndim else ()
             dtype = _TAG_TO_DTYPE[tag]
-            total = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            raw = _need(fh, total * dtype.itemsize, path)
+            raw = _need(fh, math.prod(dims) * dtype.itemsize, path)
             arr = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
             records.append((name, arr))
         if fh.read(1):

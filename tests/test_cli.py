@@ -296,6 +296,18 @@ def test_bench_trains_like_train(workdir, tmp_path):
         _log_sans_seconds(str(benched / "training_log.csv"))
 
 
+def test_bench_rejects_bad_horizons_before_training(workdir, tmp_path, monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("bench trained before checking --horizons")
+
+    monkeypatch.setattr(TR, "fit", no_fit)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", workdir["cfg"], "--seed", "1",
+                 "--out", str(out), "--quiet", "--horizons", "99"]) == 1
+    assert "horizon 99 outside 1..2" in capsys.readouterr().err
+    assert not (out / "checkpoint.ckpt").exists()
+
+
 def test_eval_of_bench_checkpoint_matches_bench_report(workdir, tmp_path, capsys):
     benched, evaluated = tmp_path / "bench", tmp_path / "ev"
     assert main(["bench", "--config", workdir["cfg"], "--seed", "1",
@@ -320,3 +332,42 @@ def test_analyze(workdir, tmp_path, capsys):
     assert lines[0] == "kind,bin_lo,bin_hi,count"
     kinds = {line.split(",")[0] for line in lines[1:]}
     assert kinds == {"speed", "correlation"}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "build-graph", "train", "eval",
+                                     "bench", "analyze"])
+def test_manifest_fields(workdir, tmp_path, capsys, command):
+    speeds = str(workdir["data"] / "speeds.bin")
+    dists = str(workdir["data"] / "distances.csv")
+    ckpt = str(tmp_path / "run" / "checkpoint.ckpt")
+    out = str(tmp_path / "out")
+    cfg = ["--config", workdir["cfg"], "--out", out]
+    argv, seed, inputs, outputs = {
+        "gen-data": (["gen-data", "--config", str(workdir["root"] / "gen.yaml"),
+                      "--seed", "3", "--out", out],
+                     3, [], ["speeds.bin", "distances.csv"]),
+        "build-graph": (["build-graph", dists, "--out", out],
+                        None, [dists], ["graph.bin"]),
+        "train": (["train", *cfg, "--seed", "1", "--quiet"],
+                  1, [speeds, dists], ["checkpoint.ckpt", "training_log.csv"]),
+        "eval": (["eval", ckpt, *cfg],
+                 None, [ckpt, speeds, dists], ["report.csv"]),
+        "bench": (["bench", *cfg, "--seed", "1", "--quiet"],
+                  1, [speeds, dists], ["checkpoint.ckpt", "training_log.csv", "report.csv"]),
+        "analyze": (["analyze", *cfg],
+                    None, [speeds, dists], ["analysis.csv"]),
+    }[command]
+    if command == "eval":
+        assert _train(workdir, tmp_path / "run") == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "out" / (command + ".manifest.json")).read_text())
+    assert sorted(doc) == ["command", "config", "finished", "inputs", "outputs",
+                           "seed", "started", "version"]
+    assert doc["command"] == command
+    assert doc["seed"] == seed
+    assert doc["inputs"] == inputs
+    assert doc["outputs"] == outputs
+    assert doc["started"] <= doc["finished"]
+    for name in outputs:
+        assert (tmp_path / "out" / name).exists()

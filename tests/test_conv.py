@@ -4,7 +4,7 @@ import pytest
 
 from dgcrn import tensor as T
 from dgcrn.conv import ConvParams, dgconv_forward, dual_dgconv, supports
-from dgcrn.errors import ConfigError, DimensionError
+from dgcrn.errors import DimensionError
 from dgcrn.generator import dynamic_adjacency
 from dgcrn.graphs import StaticGraph
 
@@ -213,7 +213,3 @@ def test_conv_errors():
         fwd, _ = supports(g, dyn, beta, gamma, h4.dtype)
         with pytest.raises(DimensionError):
             dgconv_forward(h4, fwd, p)
-    with pytest.raises(ConfigError):
-        ConvParams([], 0.5)
-    with pytest.raises(ConfigError):
-        ConvParams([T.zeros((2, 2))], 1.5)

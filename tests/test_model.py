@@ -284,5 +284,10 @@ def test_hp_validation():
         _tiny_hp(beta_mix=1.5).validate()
     with pytest.raises(ConfigError):
         _tiny_hp(hypernet="mlp").validate()
+    # the values the conv and generator records no longer check themselves
+    for bad in (dict(alpha_sat=0), dict(alpha_mix=1.5), dict(filter_mode="nope"),
+                dict(hops=-1)):
+        with pytest.raises(ConfigError):
+            M.init_model(_tiny_hp(**bad), 3, seed=0)
     with pytest.raises(ConfigError):
         M.init_model(_tiny_hp(), 1, seed=0)

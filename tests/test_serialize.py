@@ -1,5 +1,6 @@
 """Binary container, checkpoint, speed tensor, and graph cache round trips."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from dgcrn import serialize as S
 from dgcrn.data import NormStats, SpeedSeries
 from dgcrn.errors import ConfigError
-from dgcrn.graphs import build_adjacency
+from dgcrn.graphs import StaticGraph, build_adjacency
 from dgcrn.model import HyperParams, init_model, named_parameters
 
 
@@ -156,6 +157,20 @@ def test_checkpoint_rejects_shape_change(tmp_path):
         S.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_invalid_hyperparameters(tmp_path):
+    # init_model validates the stored architecture before any weight is read
+    params = init_model(_tiny_hp(), n_nodes=4, seed=0)
+    path = tmp_path / "m.ckpt"
+    S.save_checkpoint(path, params, NormStats(0.0, 1.0))
+    records = S.read_container(path, S.MAGIC_CHECKPOINT)
+    meta = json.loads(records[0][1])
+    meta["hp"]["alpha_sat"] = -1
+    records[0] = (records[0][0], json.dumps(meta).encode("utf-8"))
+    S.write_container(path, S.MAGIC_CHECKPOINT, records)
+    with pytest.raises(ConfigError, match="alpha_sat"):
+        S.load_checkpoint(path)
+
+
 # -- speed tensor ------------------------------------------------------------------
 
 
@@ -191,6 +206,11 @@ def test_speed_bin_rejects_corruption(tmp_path):
         S.load_speed_bin(path)
     path.write_bytes(b"NOTMAGIC" + whole[8:])
     with pytest.raises(ConfigError, match="magic"):
+        S.load_speed_bin(path)
+    # a header claiming 2^18 steps of 2^20 nodes (1 TiB) over 32 bytes of values
+    path.write_bytes(S.MAGIC_SPEED + struct.pack("<IIIq", 2**20, 2**18, 300, 0)
+                     + whole[-32:])
+    with pytest.raises(ConfigError, match="truncated"):
         S.load_speed_bin(path)
 
 
@@ -229,4 +249,23 @@ def test_graph_bin_checks_metadata(tmp_path, meta, match):
         records.insert(0, ("__meta__", json.dumps(meta).encode("utf-8")))
     S.write_container(path, S.MAGIC_GRAPH, records)
     with pytest.raises(ConfigError, match=match):
+        S.load_graph_bin(path)
+
+
+@pytest.mark.parametrize("dims", [
+    (2**31, 2**31),   # 2^65 bytes: more than one read() call can take
+    (2**20, 2**18),   # 2 TiB: an allocation that cannot succeed
+    (2**16,) * 4,     # 2^64 elements, which an int64 product wraps to 0
+], ids=["overflow", "memory", "int64-wrap"])
+def test_graph_bin_rejects_oversized_header(tmp_path, dims):
+    path = tmp_path / "graph.bin"
+    S.save_graph_bin(path, StaticGraph(np.ones((3, 3))))
+    whole = path.read_bytes()
+    # the adjacency record is last: name, tag, ndim, dims, then 3 x 3 float64
+    header = struct.pack("<H", 9) + b"adjacency" + struct.pack("<BB", 2, 2)
+    at = whole.rindex(header)
+    forged = (header[:-1] + struct.pack("<B%dI" % len(dims), len(dims), *dims)
+              + whole[at + len(header) + 8:])
+    path.write_bytes(whole[:at] + forged)
+    with pytest.raises(ConfigError, match="truncated"):
         S.load_graph_bin(path)
