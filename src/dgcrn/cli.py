@@ -315,7 +315,7 @@ def run_gradcheck(seed: int = 0):
     stats = NormStats(mean=40.0, std=12.0)
 
     def forward():
-        h, _ = encode(x, graph, params)
+        h = encode(x, graph, params)
         pred = decode(h, tq, graph, params)
         return masked_mae_loss(pred, y_raw, mask, stats)
 

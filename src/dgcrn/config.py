@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-import yaml
-
 from .errors import ConfigError
 from .model import HyperParams
 from .training import TrainConfig
@@ -92,8 +90,8 @@ def default_config() -> AppConfig:
     return AppConfig()
 
 
-def _coerce(section: str, name: str, want, value):
-    label = "%s.%s" % (section, name)
+def coerce(label: str, want, value):
+    """`value` checked against the type `want`; ints widen to float."""
     if want is bool:
         if isinstance(value, bool):
             return value
@@ -119,20 +117,26 @@ def _coerce(section: str, name: str, want, value):
     raise ConfigError("%s has unsupported type %r" % (label, want))
 
 
-def _apply_section(section_name: str, target, values: dict):
-    known = {f.name: f for f in fields(target)}
+def read_section(label: str, target, values):
+    """Overwrite `target`'s fields from the mapping `values`, each coerced
+    to the type of its current value, and return `target`. `label` names
+    the section in every error, e.g. ``run.yaml: model``."""
+    if not isinstance(values, dict):
+        raise ConfigError("%s must be a mapping; got %r" % (label, values))
+    known = {f.name for f in fields(target)}
     for key, value in values.items():
         if key not in known:
-            raise ConfigError(
-                "unknown config key %s.%s (known: %s)"
-                % (section_name, key, ", ".join(sorted(known)))
-            )
+            raise ConfigError("%s.%s is not a known key (known: %s)"
+                              % (label, key, ", ".join(sorted(known))))
         want = type(getattr(target, key))
-        setattr(target, key, _coerce(section_name, key, want, value))
+        setattr(target, key, coerce("%s.%s" % (label, key), want, value))
+    return target
 
 
 def load_config(path=None) -> AppConfig:
     """Defaults, overridden by the YAML file at `path` when given."""
+    import yaml  # here, so that reading a checkpoint does not load the YAML parser
+
     cfg = default_config()
     if path is None:
         return cfg
@@ -152,14 +156,11 @@ def load_config(path=None) -> AppConfig:
     for name, values in doc.items():
         if name not in sections:
             raise ConfigError(
-                "unknown config section %r (known: %s)"
-                % (name, ", ".join(sorted(sections)))
+                "%s: unknown config section %r (known: %s)"
+                % (path, name, ", ".join(sorted(sections)))
             )
-        if values is None:
-            continue
-        if not isinstance(values, dict):
-            raise ConfigError("config section %r must be a mapping" % name)
-        _apply_section(name, sections[name], values)
+        if values is not None:
+            read_section("%s: %s" % (path, name), sections[name], values)
     return cfg
 
 

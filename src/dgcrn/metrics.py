@@ -258,19 +258,29 @@ def write_report_csv(path, rows):
                              repr(float(mape)), n])
 
 
-def load_report_csv(path):
+def read_typed_csv(path, header, kinds):
+    """Rows of a CSV file whose first line is `header`, each field
+    converted by the matching callable in `kinds`; blank lines skipped."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _REPORT_HEADER:
-            raise ConfigError("%s: expected header %s" % (path, ",".join(_REPORT_HEADER)))
-        for row in reader:
+        if next(reader, None) != header:
+            raise ConfigError("%s: expected header %s" % (path, ",".join(header)))
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            rows.append((row[0], int(row[1]), float(row[2]), float(row[3]),
-                         float(row[4]), int(row[5])))
+            if len(row) != len(header):
+                raise ConfigError("%s:%d: expected %d fields, got %d"
+                                  % (path, lineno, len(header), len(row)))
+            try:
+                rows.append(tuple(kind(v) for kind, v in zip(kinds, row)))
+            except ValueError as e:
+                raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
     return rows
+
+
+def load_report_csv(path):
+    return read_typed_csv(path, _REPORT_HEADER, (str, int, float, float, float, int))
 
 
 def format_report_table(rows) -> str:

@@ -265,7 +265,7 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
 
 
 def encode(x_seq, graph, params: ModelParams):
-    """Run the encoder over x_seq (B x P x N x 2); returns (h_final, trace)."""
+    """Run the encoder over x_seq (B x P x N x 2); returns the final state."""
     if x_seq.ndim != 4:
         raise DimensionError("encoder input must be B x P x N x 2; got %r" % (x_seq.shape,))
     p_len = x_seq.shape[1]
@@ -273,12 +273,10 @@ def encode(x_seq, graph, params: ModelParams):
         raise ConfigError("encoder needs at least one input step")
     b, _, n, _ = x_seq.shape
     h = T.zeros((b, n, params.hp.hidden), dtype=x_seq.dtype)
-    trace = []
     for p in range(p_len):
         x_t = T.narrow(x_seq, 1, p, 1).reshape(b, n, x_seq.shape[-1])
         h, _ = cell_step(x_t, h, graph, params.encoder, "encoder step %d" % p)
-        trace.append(h)
-    return h, trace
+    return h
 
 
 def readout(h, params: ModelParams):
@@ -294,26 +292,16 @@ def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
            sampling_prob: float = 0.0, horizon=None, rng=None):
     """Roll the decoder forward from the encoder state.
 
-    time_seq: B x Q x N x 1 target-step time-of-day. teacher: B x Q x N
-    labels in normalized units, required when sampling_prob > 0. One coin
-    per step decides teacher forcing for the whole batch. Predictions for
-    the first `horizon` steps are returned as B x horizon x N, still in
-    normalized units.
+    time_seq: B x Q x N x 1 target-step time-of-day. When sampling_prob > 0,
+    one coin per step, drawn from rng, decides whether the whole batch takes
+    its next input from teacher (B x Q x N labels in normalized units).
+    Predictions for the first `horizon` steps (1 to Q, default Q) are
+    returned as B x horizon x N, still in normalized units.
     """
     if time_seq.ndim != 4 or time_seq.shape[-1] != 1:
         raise DimensionError("time_seq must be B x Q x N x 1; got %r" % (time_seq.shape,))
-    q_len = time_seq.shape[1]
-    horizon = q_len if horizon is None else int(horizon)
-    if not 1 <= horizon <= q_len:
-        raise ConfigError("horizon must lie in [1, %d]; got %r" % (q_len, horizon))
-    if not 0.0 <= sampling_prob <= 1.0:
-        raise ConfigError("sampling_prob must lie in [0,1]; got %r" % (sampling_prob,))
-    if sampling_prob > 0.0:
-        if teacher is None:
-            raise ConfigError("sampling_prob > 0 requires teacher labels")
-        if rng is None:
-            raise ConfigError("sampling_prob > 0 requires an rng for the coin flips")
-    b, _, n, _ = time_seq.shape
+    b, q_len, n, _ = time_seq.shape
+    horizon = q_len if horizon is None else horizon
     h = h_init
     prev_speed = T.zeros((b, n, 1), dtype=h_init.dtype)
     preds = []
@@ -324,12 +312,7 @@ def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
         pred = readout(h, params)
         preds.append(pred)
         if q + 1 < horizon:
-            use_teacher = (
-                teacher is not None
-                and sampling_prob > 0.0
-                and rng.random() < sampling_prob
-            )
-            if use_teacher:
+            if sampling_prob > 0.0 and rng.random() < sampling_prob:
                 prev_speed = T.narrow(teacher, 1, q, 1).reshape(b, n, 1)
             else:
                 # feed back the model's own prediction, keeping the graph

@@ -21,6 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .config import coerce, read_section
 from .data import NormStats, SpeedSeries
 from .errors import ConfigError, DimensionError
 from .graphs import StaticGraph
@@ -149,17 +150,24 @@ def save_checkpoint(path, params: ModelParams, stats: NormStats, extra: dict | N
 
 
 def load_checkpoint(path):
-    """Returns (params, stats, extra). Rebuilds the module tree, then
-    overwrites every parameter array, insisting on an exact name match."""
+    """Returns (params, stats, extra). Reads the metadata like a config
+    section, rebuilds the module tree, then overwrites every parameter
+    array, insisting on an exact name match."""
     records = read_container(path, MAGIC_CHECKPOINT)
     meta = _read_meta(path, records)
-    try:
-        hp = HyperParams(**meta["hp"])
-        n_nodes = int(meta["n_nodes"])
-        dtype = np.dtype(meta["dtype"])
-        stats = NormStats(mean=float(meta["norm_mean"]), std=float(meta["norm_std"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError("%s: bad metadata: %s" % (path, e)) from None
+    hp = read_section("%s: hp" % path, HyperParams(), meta.get("hp"))
+    n_nodes = coerce("%s: n_nodes" % path, int, meta.get("n_nodes"))
+    dtype = coerce("%s: dtype" % path, str, meta.get("dtype"))
+    if dtype not in ("float32", "float64"):
+        raise ConfigError("%s: dtype must be float32 or float64; got %r" % (path, dtype))
+    stats = NormStats(mean=coerce("%s: norm_mean" % path, float, meta.get("norm_mean")),
+                      std=coerce("%s: norm_std" % path, float, meta.get("norm_std")))
+    if not (math.isfinite(stats.mean) and math.isfinite(stats.std) and stats.std > 0):
+        raise ConfigError("%s: norm stats must be finite with std > 0; got mean %r, std %r"
+                          % (path, stats.mean, stats.std))
+    extra = meta.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ConfigError("%s: extra must be a mapping; got %r" % (path, extra))
     params = init_model(hp, n_nodes, seed=0, dtype=dtype)
     stored = dict(records[1:])
     if len(stored) != len(records) - 1:
@@ -178,7 +186,7 @@ def load_checkpoint(path):
         t.data = arr.astype(dtype, copy=True)
     if stored:
         raise ConfigError("%s: unexpected record %r" % (path, sorted(stored)[0]))
-    return params, stats, meta.get("extra", {})
+    return params, stats, extra
 
 
 # -- speed tensor ------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import NormStats, WindowedDataset, normalize
 from .errors import ConfigError, DegenerateInputError, NumericError
-from .metrics import masked_metrics, per_horizon_metrics
+from .metrics import masked_metrics, per_horizon_metrics, read_typed_csv
 from .model import ModelParams, decode, encode, named_parameters, zero_grads
 
 
@@ -27,12 +27,6 @@ class Adam:
 
     def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr < 0:
-            raise ConfigError("lr must be nonnegative; got %r" % (lr,))
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("betas must lie in [0,1); got %r, %r" % (beta1, beta2))
-        if eps <= 0:
-            raise ConfigError("eps must be positive; got %r" % (eps,))
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -66,8 +60,6 @@ class Adam:
 
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm."""
-    if max_norm <= 0:
-        raise ConfigError("max_norm must be positive; got %r" % (max_norm,))
     total = 0.0
     with_grad = []
     for _, p in params:
@@ -91,18 +83,12 @@ def clip_global_norm(params, max_norm: float) -> float:
 def curriculum_horizon(iteration: int, step_size: int, output_len: int) -> int:
     """Trained horizon after `iteration` batches: starts at 1, grows by one
     every step_size iterations, capped at output_len."""
-    if iteration < 1:
-        raise ConfigError("iteration starts at 1; got %r" % (iteration,))
-    if step_size < 1:
-        raise ConfigError("step_size must be >= 1; got %r" % (step_size,))
     return min(output_len, 1 + iteration // step_size)
 
 
 def scheduled_sampling_prob(iteration: int, tau: float) -> float:
     """Probability of feeding ground truth to the decoder; decays from
     near 1 toward 0 as iterations pass. Underflows cleanly to 0."""
-    if tau <= 0:
-        raise ConfigError("tau must be positive; got %r" % (tau,))
     with np.errstate(over="ignore"):
         e = np.exp(iteration / tau)
     return float(tau / (tau + e)) if np.isfinite(e) else 0.0
@@ -208,7 +194,7 @@ def train_step(params: ModelParams, graph, batch, stats: NormStats,
     time_seq = _time_tensor(tod, n, dtype)
 
     zero_grads(params)
-    h, _ = encode(x_t, graph, params)
+    h = encode(x_t, graph, params)
     pred = decode(h, time_seq, graph, params, teacher=teacher,
                   sampling_prob=p_teacher, horizon=horizon, rng=state.rng)
     loss = masked_mae_loss(pred, y[:, :horizon], mask[:, :horizon], stats)
@@ -231,7 +217,7 @@ def predict(params: ModelParams, graph, x, tod, stats: NormStats,
             hi = min(lo + batch_size, x.shape[0])
             xb = T.Tensor(np.ascontiguousarray(x[lo:hi], dtype=dtype))
             tb = _time_tensor(tod[lo:hi], n, dtype)
-            h, _ = encode(xb, graph, params)
+            h = encode(xb, graph, params)
             pred = decode(h, tb, graph, params)
             outs.append(pred.data.astype(np.float64))
     return normalize(np.concatenate(outs, axis=0), stats, direction="inverse")
@@ -322,15 +308,5 @@ def write_training_log(path, history):
 
 
 def load_training_log(path):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _LOG_HEADER:
-            raise ConfigError("%s: expected header %s" % (path, ",".join(_LOG_HEADER)))
-        for row in reader:
-            if not row:
-                continue
-            rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3]),
-                         float(row[4]), float(row[5]), int(row[6]), float(row[7])))
-    return rows
+    return read_typed_csv(path, _LOG_HEADER,
+                          (int, float, float, float, float, float, int, float))

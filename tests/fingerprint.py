@@ -8,16 +8,19 @@ train steps with scheduled sampling and a growing curriculum horizon, then
 a no-grad predict. The digest covers every loss, every pre-clip grad norm,
 every weight after the last step and the forecasts.
 
-A refactor that claims to keep results bit-identical must print the same
-digest before and after:
+A refactor that claims to keep results bit-identical must keep the digest:
 
     PYTHONPATH=src python tests/fingerprint.py
 
-pytest does not collect this file (its name does not start with test_).
+prints the digest and exits 1 when it differs from EXPECTED. A change that
+alters results on purpose records its new digest in EXPECTED. The digest
+depends on the BLAS build, so pytest does not collect this file (its name
+does not start with test_).
 """
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 
@@ -25,6 +28,8 @@ from dgcrn.data import NormStats, synth_distances
 from dgcrn.graphs import build_adjacency
 from dgcrn.model import HyperParams, init_model, named_parameters
 from dgcrn.training import Adam, TrainConfig, TrainState, predict, train_step
+
+EXPECTED = "714bb5930b76ed41b03cf4f672d88b8823211350852103c9df009eb692c0454d"
 
 N_NODES, LEN, BATCH, STEPS = 8, 4, 4, 4
 
@@ -84,4 +89,8 @@ def fingerprint() -> str:
 
 
 if __name__ == "__main__":
-    print(fingerprint())
+    got = fingerprint()
+    print(got)
+    if got != EXPECTED:
+        print("mismatch: expected %s" % EXPECTED, file=sys.stderr)
+        sys.exit(1)

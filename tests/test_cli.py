@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dgcrn import model as M
 from dgcrn import serialize as S
 from dgcrn import training as TR
 from dgcrn.cli import _setup_threads, main
+from dgcrn.data import NormStats
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +267,38 @@ def test_eval_missing_checkpoint(workdir, tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("hp.hidden", "4", r"hp\.hidden must be an integer"),
+    ("hp.hops", 2.0, r"hp\.hops must be an integer"),
+    ("hp.share_embeddings", 1, r"hp\.share_embeddings must be true or false"),
+    ("dtype", "int8", "dtype must be float32 or float64"),
+    ("dtype", "float16", "dtype must be float32 or float64"),
+    ("n_nodes", 6.7, "n_nodes must be an integer"),
+    ("norm_std", float("nan"), "std > 0"),
+    ("extra", [], "extra must be a mapping"),
+], ids=["hidden-str", "hops-float", "share-int", "dtype-int8", "dtype-float16",
+        "n_nodes-float", "std-nan", "extra-list"])
+def test_eval_rejects_forged_checkpoint(workdir, tmp_path, capsys, key, value, match):
+    # a checkpoint eval would score, with one metadata value forged
+    hp = M.HyperParams(hidden=4, emb_dim=3, hyper_dim=3, hops=1, hyper_hops=1,
+                       input_len=4, output_len=2)
+    ckpt = tmp_path / "forged.ckpt"
+    S.save_checkpoint(ckpt, M.init_model(hp, 6, seed=0), NormStats(50.0, 10.0))
+    records = S.read_container(ckpt, S.MAGIC_CHECKPOINT)
+    meta = json.loads(records[0][1])
+    section = meta["hp"] if key.startswith("hp.") else meta
+    section[key.split(".")[-1]] = value
+    records[0] = (records[0][0], json.dumps(meta).encode("utf-8"))
+    S.write_container(ckpt, S.MAGIC_CHECKPOINT, records)
+    rc = main(["eval", str(ckpt), "--config", workdir["cfg"], "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: %s: " % ckpt), err
+    assert re.search(match, lines[0]), err
 
 
 def test_gradcheck_passes(capsys):

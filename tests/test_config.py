@@ -148,7 +148,7 @@ def test_validate_rejects_bad_values():
         ("data", "congestion_rate", 1.0, r"data\.congestion_rate"),
         ("eval", "split", "dev", r"eval\.split"),
         ("eval", "horizons", [0], "horizons"),
-        # Adam rejects these; validation must catch them before data loads
+        # Adam trusts these; validation must catch them before data loads
         ("train", "beta1", 1.0, "betas"),
         ("train", "beta2", -0.1, "betas"),
         ("train", "eps", 0.0, "eps"),

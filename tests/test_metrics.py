@@ -197,6 +197,18 @@ def test_report_csv_round_trip(tmp_path):
         M.load_report_csv(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("row, match", [
+    ("dgcrn,6,2.5", r"report\.csv:3: expected 6 fields, got 3"),
+    ("dgcrn,x,2.5,4.25,6.125,1200", r"report\.csv:3: .*'x'"),
+], ids=["short-row", "bad-value"])
+def test_load_report_csv_rejects_bad_rows(tmp_path, row, match):
+    path = tmp_path / "report.csv"
+    M.write_report_csv(path, [("dgcrn", 3, 2.5, 4.25, 6.125, 1200)])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ConfigError, match=match):
+        M.load_report_csv(path)
+
+
 def test_format_report_table_alignment():
     rows = [("dgcrn", 1, 1.0, 2.0, 3.0, 10), ("longer-name", 12, 4.0, 5.0, 6.0, 999)]
     text = M.format_report_table(rows)

@@ -390,7 +390,7 @@ def test_abandoned_forward_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        h, _ = encode(x, graph, params)
+        h = encode(x, graph, params)
         pred = decode(h, tod, graph, params)
         assert pred.requires_grad and pred._backward is not None
         del h, pred
