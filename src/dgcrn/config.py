@@ -57,13 +57,14 @@ class AppConfig:
         }
 
     def validate(self):
+        # each range check is written so that NaN fails it
         self.model.validate()
         self.train.validate()
         d = self.data
         if d.split not in ("ratio", "days"):
             raise ConfigError("data.split must be ratio or days; got %r" % d.split)
         for name in ("train", "val", "test"):
-            if getattr(d, name) <= 0:
+            if not getattr(d, name) > 0:
                 raise ConfigError("data.%s must be positive" % name)
         if not 0.0 < d.kappa < 1.0:
             raise ConfigError("data.kappa must lie in (0, 1); got %r" % d.kappa)
@@ -74,7 +75,7 @@ class AppConfig:
         if not 0.0 <= d.congestion_rate < 1.0:
             raise ConfigError("data.congestion_rate must lie in [0, 1); got %r"
                               % d.congestion_rate)
-        if d.noise_std < 0:
+        if not d.noise_std >= 0:
             raise ConfigError("data.noise_std must be >= 0")
         e = self.eval
         if e.split not in ("train", "val", "test"):

@@ -42,6 +42,7 @@ class HyperParams:
     readout_hidden: int = 0        # 0 = single affine readout
 
     def validate(self):
+        # each range check is written so that NaN fails it
         for name in ("hidden", "emb_dim", "hyper_dim", "input_len", "output_len"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1; got %r" % (name, getattr(self, name)))
@@ -52,7 +53,7 @@ class HyperParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError("%s must lie in [0,1]; got %r" % (name, v))
-        if self.alpha_sat <= 0:
+        if not self.alpha_sat > 0:
             raise ConfigError("alpha_sat must be positive; got %r" % (self.alpha_sat,))
         if self.hypernet not in ("gcn", "affine"):
             raise ConfigError("hypernet must be 'gcn' or 'affine'; got %r" % (self.hypernet,))

@@ -168,7 +168,10 @@ def load_checkpoint(path):
     extra = meta.get("extra", {})
     if not isinstance(extra, dict):
         raise ConfigError("%s: extra must be a mapping; got %r" % (path, extra))
-    params = init_model(hp, n_nodes, seed=0, dtype=dtype)
+    try:
+        params = init_model(hp, n_nodes, seed=0, dtype=dtype)
+    except ConfigError as e:  # HyperParams.validate or the node count
+        raise ConfigError("%s: %s" % (path, e)) from None
     stored = dict(records[1:])
     if len(stored) != len(records) - 1:
         raise ConfigError("%s: duplicate record names" % path)

@@ -310,7 +310,7 @@ def absolute(t: Tensor) -> Tensor:
 
 
 def scaled_add(a: Tensor, b: Tensor, c: float) -> Tensor:
-    """a + c*b, one diffusion term of the hop recurrence."""
+    """a + c*b: one diffusion term of a convolution, or one of its Horner weights."""
     c = np.asarray(c, dtype=b.data.dtype)
     return _from_op(a.data + b.data * c, (a, b), (_identity, lambda g: g * c))
 
@@ -385,9 +385,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             "matmul: shapes %r and %r do not align" % (a.shape, b.shape)
         ) from None
-    return _from_op(data, (a, b),
-                    (lambda g: np.matmul(g, _swap_last(y)),
-                     lambda g: np.matmul(_swap_last(x), g)))
+
+    def grad_a(g):
+        # BLAS takes a contiguous 2-D weight faster than its transposed view
+        return np.matmul(g, np.ascontiguousarray(y.T) if y.ndim == 2 else _swap_last(y))
+
+    return _from_op(data, (a, b), (grad_a, lambda g: np.matmul(_swap_last(x), g)))
 
 
 # -- assembly ops ------------------------------------------------------------

@@ -132,7 +132,8 @@ class TrainConfig:
     eps: float = 1e-8
 
     def validate(self):
-        if self.learning_rate < 0:
+        # each range check is written so that NaN fails it
+        if not self.learning_rate >= 0:
             raise ConfigError("learning_rate must be >= 0; got %r" % (self.learning_rate,))
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1; got %r" % (self.batch_size,))
@@ -142,13 +143,13 @@ class TrainConfig:
             raise ConfigError("patience must be >= 0; got %r" % (self.patience,))
         if self.step_size < 1:
             raise ConfigError("step_size must be >= 1; got %r" % (self.step_size,))
-        if self.ss_decay_tau <= 0:
+        if not self.ss_decay_tau > 0:
             raise ConfigError("ss_decay_tau must be positive; got %r" % (self.ss_decay_tau,))
-        if self.grad_clip_norm <= 0:
+        if not self.grad_clip_norm > 0:
             raise ConfigError("grad_clip_norm must be positive; got %r" % (self.grad_clip_norm,))
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0,1); got %r, %r" % (self.beta1, self.beta2))
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError("eps must be positive; got %r" % (self.eps,))
         return self
 

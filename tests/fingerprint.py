@@ -29,7 +29,7 @@ from dgcrn.graphs import build_adjacency
 from dgcrn.model import HyperParams, init_model, named_parameters
 from dgcrn.training import Adam, TrainConfig, TrainState, predict, train_step
 
-EXPECTED = "714bb5930b76ed41b03cf4f672d88b8823211350852103c9df009eb692c0454d"
+EXPECTED = "91df712fb0536f5ac3350f4065318a2cbbb89242a74b2f33dc15f19355569d6f"
 
 N_NODES, LEN, BATCH, STEPS = 8, 4, 4, 4
 

@@ -278,8 +278,11 @@ def test_eval_missing_checkpoint(workdir, tmp_path, capsys):
     ("n_nodes", 6.7, "n_nodes must be an integer"),
     ("norm_std", float("nan"), "std > 0"),
     ("extra", [], "extra must be a mapping"),
+    # read fine, then rejected by init_model's checks
+    ("hp.alpha_sat", float("nan"), "alpha_sat must be positive"),
+    ("n_nodes", 1, "at least 2 nodes"),
 ], ids=["hidden-str", "hops-float", "share-int", "dtype-int8", "dtype-float16",
-        "n_nodes-float", "std-nan", "extra-list"])
+        "n_nodes-float", "std-nan", "extra-list", "alpha_sat-nan", "n_nodes-1"])
 def test_eval_rejects_forged_checkpoint(workdir, tmp_path, capsys, key, value, match):
     # a checkpoint eval would score, with one metadata value forged
     hp = M.HyperParams(hidden=4, emb_dim=3, hyper_dim=3, hops=1, hyper_hops=1,

@@ -160,6 +160,20 @@ def test_validate_rejects_bad_values():
             cfg.validate()
 
 
+# every float range check, with the key its message names
+@pytest.mark.parametrize("section, key", [
+    ("model", "alpha_sat"), ("train", "learning_rate"), ("train", "grad_clip_norm"),
+    ("train", "ss_decay_tau"), ("train", "eps"), ("data", "noise_std"),
+    ("data", "train"), ("data", "val"), ("data", "test"),
+])
+def test_nan_fails_validation(tmp_path, section, key):
+    cfg = load_config(write(tmp_path, "%s:\n  %s: .nan\n" % (section, key)))
+    value = getattr(getattr(cfg, section), key)
+    assert value != value  # loaded as NaN
+    with pytest.raises(ConfigError, match=r"\b%s must" % key):
+        cfg.validate()
+
+
 def test_help_lists_every_key():
     text = config_help_text()
     from dataclasses import fields

@@ -1,4 +1,6 @@
 """K-hop convolution against hand values and the einsum reference."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,29 +102,39 @@ _REFERENCE_CASES = [pytest.param(seed, "both", id=str(seed)) for seed in range(6
 ]
 
 
+# float64 must match the hop-by-hop reference to rounding; float32 carries
+# the Horner form's different summation order at rtol 1e-5 of the output
+_TOLERANCE = {np.float64: (0.0, 1e-12), np.float32: (1e-5, 1e-5)}
+
+
 @pytest.mark.parametrize("seed,subset", _REFERENCE_CASES)
 def test_matches_reference_evaluator(seed, subset):
+    # K = 0..3 hops, with and without the skip term, projecting to fewer and
+    # to more columns than the input has, in both dtypes
     beta, gamma = _SUBSETS[subset]
-    rng = np.random.default_rng(seed)
-    b, n, d_in, d_out, k = 2, 4, 3, 2, 2
-    g = StaticGraph(rng.uniform(0.05, 1.0, (n, n)))
-    p = _params(rng, d_in, d_out, k, 0.05)
-    h = T.Tensor(rng.normal(size=(b, n, d_in)))
-    dyn, _, _ = _random_dyn(rng, b, n)
-    fwd, bwd = supports(g, dyn, beta, gamma, h.dtype)
-    assert len(fwd) == len(bwd) == (beta != 0.0) + (gamma != 0.0)
-    out = dgconv_forward(h, fwd, p)
-    ref = khop_conv_ref(
-        h.data, g.forward_norm, dyn.normalized.data,
-        [w.data for w in p.hop_weights], 0.05, beta, gamma,
-    )
-    assert np.allclose(out.data, ref, atol=1e-12)
-    out_b = dgconv_forward(h, bwd, p)
-    ref_b = khop_conv_ref(
-        h.data, g.backward_norm, dyn.normalized_bwd.data,
-        [w.data for w in p.hop_weights], 0.05, beta, gamma,
-    )
-    assert np.allclose(out_b.data, ref_b, atol=1e-12)
+    b, n, d_in = 2, 4, 3
+    for dtype, k, alpha, d_out in itertools.product(_TOLERANCE, range(4), (0.0, 0.05), (2, 5)):
+        rtol, atol = _TOLERANCE[dtype]
+        rng = np.random.default_rng(seed)
+        g = StaticGraph(rng.uniform(0.05, 1.0, (n, n)))
+        ws = [T.Tensor(rng.uniform(-0.5, 0.5, (d_in, d_out)).astype(dtype))
+              for _ in range(k + 1)]
+        h = T.Tensor(rng.normal(size=(b, n, d_in)).astype(dtype))
+        de1, de2 = (T.Tensor(rng.normal(size=(b, n, 3)).astype(dtype)) for _ in range(2))
+        dyn = dynamic_adjacency(de1, de2, 2.0)
+        fwd, bwd = supports(g, dyn, beta, gamma, dtype)
+        assert len(fwd) == len(bwd) == (beta != 0.0) + (gamma != 0.0)
+        stat_f, stat_b = g.norm_pair(dtype)
+        for sup, stat, dyn_norm in ((fwd, stat_f, dyn.normalized),
+                                    (bwd, stat_b, dyn.normalized_bwd)):
+            out = dgconv_forward(h, sup, ConvParams(ws, alpha))
+            assert out.dtype == dtype
+            h64, stat64, dyn64, *ws64 = (t.data.astype(np.float64)
+                                         for t in (h, stat, dyn_norm, *ws))
+            ref = khop_conv_ref(h64, stat64, dyn64, ws64, alpha, beta, gamma)
+            np.testing.assert_allclose(
+                out.data, ref, rtol=rtol, atol=atol * max(1.0, np.abs(ref).max()),
+                err_msg="%s k=%d alpha=%g d_out=%d" % (dtype.__name__, k, alpha, d_out))
 
 
 def test_supports_order_and_zero_terms():
@@ -200,6 +212,26 @@ def test_gradients_match_fd(seed):
     for leaf in leaves:
         fd = T.finite_diff_grad(lambda _t: build(), leaf)
         assert T.max_rel_err(leaf.grad, fd.data) < 1e-4
+
+
+@pytest.mark.parametrize("k,alpha", [(1, 0.3), (3, 0.3), (3, 0.0)])
+def test_dgconv_forward_gradients_match_fd(k, alpha):
+    # weights, input and a dynamic graph taken as a leaf, in float64
+    rng = np.random.default_rng(200 + k)
+    b, n, d_in, d_out = 2, 3, 4, 2
+    stat, _ = StaticGraph(rng.uniform(0.1, 1.0, (n, n))).norm_pair(np.float64)
+    dyn = T.Tensor(rng.uniform(0.0, 1.0, (b, n, n)), requires_grad=True)
+    h = T.Tensor(rng.normal(size=(b, n, d_in)), requires_grad=True)
+    p = _params(rng, d_in, d_out, k, alpha)
+    probe = T.Tensor(rng.normal(size=(b, n, d_out)))
+
+    def build():
+        return (dgconv_forward(h, [(0.6, dyn), (0.4, stat)], p) * probe).sum()
+
+    build().backward()
+    for leaf in [h, dyn] + p.hop_weights:
+        fd = T.finite_diff_grad(lambda _t: build(), leaf)
+        assert T.max_rel_err(leaf.grad, fd.data) < 1e-7
 
 
 def test_conv_errors():

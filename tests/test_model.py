@@ -115,16 +115,19 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
 
 # T.matmul and T.scaled_add calls in one cell step at hops = hyper_hops = 2.
 # A mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
-# and the dynamic diffusions, gamma 0 the static ones, and alpha 0 the skip
-# term, so each hop's sum starts from its first diffusion.
+# and the dynamic diffusions, gamma 0 the static ones (the hyper-networks then
+# diffuse nothing), and alpha 0 the skip term, so U_k is W_k itself. Each
+# convolution makes one scaled_add per diffusion, onto its hop's projection,
+# plus K to build U_0..U_{K-1} when alpha is not 0: 6 per gate over both
+# graphs and 4 per hyper-network over the static one.
 @pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
-    ({}, 56, 28),
-    ({"alpha_mix": 0.0}, 56, 12),
-    ({"beta_mix": 0.0}, 30, 12),
-    ({"gamma_mix": 0.0}, 40, 12),
-    ({"filter_mode": "frozen"}, 44, 24),
-    ({"hypernet": "affine"}, 46, 24),
-    ({"filter_mode": "matmul"}, 58, 28),
+    ({}, 56, 44),
+    ({"alpha_mix": 0.0}, 56, 28),
+    ({"beta_mix": 0.0}, 30, 24),
+    ({"gamma_mix": 0.0}, 40, 28),
+    ({"filter_mode": "frozen"}, 44, 36),
+    ({"hypernet": "affine"}, 46, 36),
+    ({"filter_mode": "matmul"}, 58, 44),
 ], ids=["full", "alpha0", "beta0", "gamma0", "frozen", "affine", "matmul"])
 def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_adds):
     rng = np.random.default_rng(12)
@@ -146,6 +149,28 @@ def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_a
     M.cell_step(T.Tensor(rng.normal(size=(2, 4, 2))), T.Tensor(rng.normal(size=(2, 4, 4))),
                 g, params.encoder)
     assert calls == {"matmul": matmuls, "scaled_add": scaled_adds}
+
+
+def test_graph_products_multiply_output_width(monkeypatch):
+    # every N x N product in a cell step diffuses a projected array: hidden
+    # wide in the gates, hyper_dim wide in the hyper-networks, never the
+    # 2 + hidden wide gate input
+    n, hp = 9, _tiny_hp(hidden=5, hyper_dim=3, hyper_hops=2)
+    rng = np.random.default_rng(13)
+    params = M.init_model(hp, n, seed=13, dtype=np.float64)
+    widths = []
+    real = T.matmul
+
+    def recording(x, y):
+        if x.shape[-2:] == (n, n):
+            widths.append(y.shape[-1])
+        return real(x, y)
+
+    monkeypatch.setattr(T, "matmul", recording)
+    M.cell_step(T.Tensor(rng.normal(size=(2, n, 2))), T.Tensor(rng.normal(size=(2, n, 5))),
+                _graph(rng, n), params.encoder)
+    # 6 gate convolutions x 2 hops x 2 graphs, 2 hyper-networks x 2 hops x 1
+    assert sorted(widths) == [3] * 4 + [5] * 24
 
 
 def test_readout_zero_and_constant():

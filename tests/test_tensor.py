@@ -459,9 +459,10 @@ def test_tape_keeps_only_arrays_rules_read(op, reads_inputs, reads_output):
 
 
 def test_hop_recurrence_frees_every_product(monkeypatch):
-    # every product in dgconv_forward feeds only `+`, `*` by its mixing
-    # coefficient or `scaled_add`, whose rules read none of them, while an
-    # operand whose partner needs a gradient stays for that partner's rule
+    # every product in dgconv_forward feeds only `scaled_add`, whose rules
+    # read neither operand, except the first projection X U_K: it is the
+    # first hop's diffusion operand, and the dynamic graph's rule reads it.
+    # An operand whose partner needs a gradient stays for that partner's rule
     rng = np.random.default_rng(22)
     n, b, d = 5, 2, 3
     graph = build_adjacency(synth_distances(n, seed=1), kappa=0.1)
@@ -483,8 +484,9 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
 
     monkeypatch.setattr(T, "matmul", recording)
     out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, fwd, params)
-    assert len(products) == 7  # hop 0, then (dynamic, static, weight) per hop
-    assert all(r() is None for r in products)
+    # X U_2, then (X U_k, dynamic, static) per hop
+    assert len(products) == 7
+    assert [i for i, r in enumerate(products) if r() is not None] == [0]
     assert all(r() is not None for r, read in operands if read)
     out.sum().backward()
     assert all(w.grad is not None for w in weights)
