@@ -25,7 +25,9 @@ hop-by-hop form, so results agree with `oracles.khop_conv_ref` to rounding.
 `supports` builds the forward and backward lists once per cell step,
 dynamic graph first, and leaves out every support whose coefficient is
 exactly 0; with alpha 0, U_i is W_i itself and no skip term is formed. So
-disabling a branch via config is bit-identical to a build without it.
+disabling a branch via config is bit-identical to a build without it. An
+empty list (a hyper-network with gamma_mix 0) diffuses nothing, so only
+X U_0 is built: one matmul.
 """
 from __future__ import annotations
 
@@ -63,6 +65,12 @@ def supports(graph, dyn, beta_mix: float, gamma_mix: float, dtype):
 def dgconv_forward(h_in, supports, p: ConvParams):
     """K-hop convolution of h_in (B x N x D_in) -> B x N x D_out, in Horner form."""
     ws, alpha = p.hop_weights, p.alpha_mix
+    if not supports:
+        # U_0, its tail summed W_K + ... + W_1 in the order of the loop below
+        u = ws[0]
+        if alpha != 0.0 and len(ws) > 1:
+            u = T.scaled_add(ws[0], sum(ws[-2:0:-1], ws[-1]), alpha)
+        return T.matmul(h_in, u)
     out = T.matmul(h_in, ws[-1])
     tail = ws[-1]  # sum of the weights of the hops above k
     for k in range(len(ws) - 2, -1, -1):

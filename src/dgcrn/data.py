@@ -414,8 +414,10 @@ def load_speed_csv(path, zero_as_missing: bool = False) -> SpeedSeries:
                 stamps.append(_from_iso(row[0]))
             except ValueError:
                 raise ConfigError("%s:%d: bad timestamp %r" % (path, lineno, row[0])) from None
-            vals = [float(f) if f.strip() != "" else np.nan for f in row[1:]]
-            rows.append(vals)
+            try:
+                rows.append([float(f) if f.strip() != "" else np.nan for f in row[1:]])
+            except ValueError as e:
+                raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
     if not rows:
         raise DegenerateInputError("%s: no data rows" % path)
     values = np.asarray(rows, dtype=np.float64)

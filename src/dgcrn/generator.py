@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .conv import ConvParams, dgconv_forward
-from .errors import DimensionError
 from .tensor import Tensor
 
 
@@ -110,15 +109,10 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
 def generate(inp, static_fwd, params: GeneratorParams) -> DynamicGraph:
     """Full generator chain for one step: filters, modulation, adjacency.
 
-    inp: B x N x D_in; static_fwd: the static forward supports the
-    hyper-network convolutions diffuse over.
+    inp: B x N x D_in, with N the embedding tables' row count; static_fwd:
+    the static forward supports the hyper-network convolutions diffuse over.
     """
     b, n = inp.shape[:2]
-    if params.emb_src.shape[0] != n:
-        raise DimensionError(
-            "embedding tables have %d rows, input has %d nodes"
-            % (params.emb_src.shape[0], n)
-        )
     if params.filter_mode == "frozen":
         d_e = params.emb_src.shape[1]
         # constant all-ones filters run through the ordinary batched path

@@ -110,8 +110,10 @@ def load_distance_csv(path, n_nodes: int | None = None) -> np.ndarray:
                 src, dst, dist = int(row[0]), int(row[1]), float(row[2])
             except ValueError as e:
                 raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
-            if src < 0 or dst < 0 or dist < 0:
-                raise ConfigError("%s:%d: negative id or distance" % (path, lineno))
+            # written so that a NaN distance fails it
+            if src < 0 or dst < 0 or not dist >= 0:
+                raise ConfigError("%s:%d: ids and distance must be >= 0; got %s"
+                                  % (path, lineno, ",".join(row)))
             entries.append((src, dst, dist))
             max_id = max(max_id, src, dst)
     if max_id < 0 and n_nodes is None:

@@ -236,20 +236,9 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     """One recurrent update. x_t: B x N x 2, h_prev: B x N x h.
 
     Returns the new hidden state and the dynamic graph used (None when the
-    cell has no generator).
+    cell has no generator). The shapes are those `encode` and `decode`
+    checked when the batch entered the model.
     """
-    if x_t.ndim != 3 or x_t.shape[-1] != INPUT_WIDTH:
-        raise DimensionError(
-            "cell input must be B x N x %d; got shape %r" % (INPUT_WIDTH, x_t.shape)
-        )
-    if h_prev.ndim != 3 or h_prev.shape[:2] != x_t.shape[:2]:
-        raise DimensionError(
-            "hidden state shape %r does not match input %r" % (h_prev.shape, x_t.shape)
-        )
-    if x_t.shape[1] != graph.n_nodes:
-        raise DimensionError(
-            "input has %d nodes, graph has %d" % (x_t.shape[1], graph.n_nodes)
-        )
     # [speed, time-of-day, hidden]: the generator and the z/r gates read it
     xh = T.concat([x_t, h_prev], axis=-1)
     # the hyper-networks diffuse over the static forward graph only
@@ -266,17 +255,25 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
 
 
 def encode(x_seq, graph, params: ModelParams):
-    """Run the encoder over x_seq (B x P x N x 2); returns the final state."""
-    if x_seq.ndim != 4:
-        raise DimensionError("encoder input must be B x P x N x 2; got %r" % (x_seq.shape,))
-    p_len = x_seq.shape[1]
-    if p_len < 1:
-        raise ConfigError("encoder needs at least one input step")
-    b, _, n, _ = x_seq.shape
+    """Run the encoder over x_seq (B x P x N x 2); returns the final state.
+
+    The one shape check of a forward: P >= 1, and N is the node count of
+    both the graph and the model (the rows of its embedding tables).
+    """
+    n = graph.n_nodes
+    if (x_seq.ndim != 4 or x_seq.shape[1] < 1 or x_seq.shape[2:] != (n, INPUT_WIDTH)
+            or params.n_nodes != n):
+        raise DimensionError(
+            "encoder input must be B x P x N x %d with P >= 1 and N the node count of the"
+            " graph (%d) and of the model (%d); got shape %r"
+            % (INPUT_WIDTH, n, params.n_nodes, x_seq.shape)
+        )
+    b, p_len = x_seq.shape[:2]
     h = T.zeros((b, n, params.hp.hidden), dtype=x_seq.dtype)
     for p in range(p_len):
-        x_t = T.narrow(x_seq, 1, p, 1).reshape(b, n, x_seq.shape[-1])
-        h, _ = cell_step(x_t, h, graph, params.encoder, "encoder step %d" % p)
+        # the input is a constant: a view of step p needs no tape node
+        h, _ = cell_step(T.Tensor(x_seq.data[:, p]), h, graph, params.encoder,
+                         "encoder step %d" % p)
     return h
 
 
@@ -307,14 +304,13 @@ def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
     prev_speed = T.zeros((b, n, 1), dtype=h_init.dtype)
     preds = []
     for q in range(horizon):
-        tod_q = T.narrow(time_seq, 1, q, 1).reshape(b, n, 1)
-        x_t = T.concat([prev_speed, tod_q], axis=-1)
+        x_t = T.concat([prev_speed, T.Tensor(time_seq.data[:, q])], axis=-1)
         h, _ = cell_step(x_t, h, graph, params.decoder, "decoder step %d" % q)
         pred = readout(h, params)
         preds.append(pred)
         if q + 1 < horizon:
             if sampling_prob > 0.0 and rng.random() < sampling_prob:
-                prev_speed = T.narrow(teacher, 1, q, 1).reshape(b, n, 1)
+                prev_speed = T.Tensor(teacher.data[:, q, :, None])
             else:
                 # feed back the model's own prediction, keeping the graph
                 prev_speed = pred.reshape(b, n, 1)

@@ -1,11 +1,12 @@
 """Dense tensors with reverse-mode differentiation on top of numpy.
 
 The kernel set is deliberately small: add/subtract/multiply, matmul over
-the last two axes (with leading-axis broadcasting), concat/stack/narrow,
-reshape/transpose/sum, tanh/sigmoid/absolute, and five fused elementwise
-chains of the cell step (`scaled_add`, `relu_tanh_diff`, `tanh_product`,
-`self_loop_normalize`, `gru_update`). That set is exactly what the model
-forward pass needs.
+the last two axes (with leading-axis broadcasting), concat/stack,
+reshape/transpose, a full sum, tanh/sigmoid/absolute, and five fused
+elementwise chains of the cell step (`scaled_add`, `relu_tanh_diff`,
+`tanh_product`, `self_loop_normalize`, `gru_update`). That set is exactly
+what the model forward pass and its loss need. The model's inputs are
+constants, so it slices them as plain arrays, without an op.
 
 The tape is separate from the values. An op output that needs a gradient
 gets a `_Node` holding its grad, the nodes of the parents that require a
@@ -185,21 +186,15 @@ class Tensor:
     @property
     def mT(self) -> "Tensor":
         """Transpose of the last two axes."""
-        if self.data.ndim < 2:
-            raise DimensionError("mT requires ndim >= 2; got shape %r" % (self.shape,))
         return _from_op(np.swapaxes(self.data, -1, -2), (self,), (_swap_last,))
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self) -> "Tensor":
+        """Sum of every element, as a 0-d tensor."""
         shape = self.data.shape
-        expand = axis is not None and not keepdims
-
-        def rule(g):
-            return np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape)
-
-        return _from_op(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)),
-                        (self,), (rule,))
+        return _from_op(np.asarray(self.data.sum()), (self,),
+                        (lambda g: np.broadcast_to(g, shape),))
 
 
 # -- graph plumbing ----------------------------------------------------------
@@ -414,26 +409,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
     return _from_op(data, tensors, tuple(
         lambda g, i=i: np.take(g, i, axis=axis) for i in range(len(tensors))))
-
-
-def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    ax = axis % t.data.ndim
-    # numpy slicing would clip an out-of-range slice silently
-    if start < 0 or start + length > t.data.shape[ax]:
-        raise DimensionError(
-            "narrow: slice [%d, %d) out of range for axis %d of shape %r"
-            % (start, start + length, ax, t.shape)
-        )
-    idx = (slice(None),) * ax + (slice(start, start + length),)
-    shape, dtype = t.data.shape, t.data.dtype
-
-    def rule(g):
-        full = np.zeros(shape, dtype)
-        full[idx] = g
-        return full
-
-    return _from_op(t.data[idx].copy(), (t,), (rule,))
 
 
 def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:

@@ -166,8 +166,8 @@ class TrainState:
 
 
 def _time_tensor(tod, n_nodes, dtype):
-    # S x Q -> S x Q x N x 1 read-only broadcast view; the decoder's
-    # T.narrow copies each step's slice
+    # S x Q -> S x Q x N x 1 read-only broadcast view; the decoder reads
+    # each step as a view too, and concat copies it into the cell input
     s, q = tod.shape
     arr = np.asarray(tod, dtype=dtype)[:, :, None, None]
     return T.Tensor(np.broadcast_to(arr, (s, q, n_nodes, 1)))

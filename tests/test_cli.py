@@ -371,6 +371,20 @@ def test_analyze(workdir, tmp_path, capsys):
     assert kinds == {"speed", "correlation"}
 
 
+def test_analyze_bad_speed_cell(tmp_path, capsys):
+    speeds = tmp_path / "speeds.csv"
+    speeds.write_text("timestamp,0,1\n2024-01-01T00:00:00,50.0,60.0\n"
+                      "2024-01-01T00:05:00,n/a,61.0\n", encoding="utf-8")
+    dists = tmp_path / "distances.csv"
+    dists.write_text("from,to,distance\n0,1,1.0\n1,0,1.0\n", encoding="utf-8")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("data:\n  speeds: %s\n  distances: %s\n" % (speeds, dists),
+                   encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "an")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: %s:3: could not convert string to float: 'n/a'" % speeds]
+
+
 @pytest.mark.parametrize("command", ["gen-data", "build-graph", "train", "eval",
                                      "bench", "analyze"])
 def test_manifest_fields(workdir, tmp_path, capsys, command):

@@ -361,6 +361,10 @@ def test_speed_csv_errors(tmp_path):
     p.write_text("timestamp,0,1\nnot-a-date,1.0,2.0\n")
     with pytest.raises(ConfigError):
         D.load_speed_csv(p)
+    # a speed cell that is no number names the file and line
+    p.write_text("timestamp,0,1\n2024-01-01T00:00:00,1.0,2.0\n2024-01-01T00:05:00,n/a,2.0\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv:3: .*'n/a'"):
+        D.load_speed_csv(p)
     p.write_text("timestamp,0,1\n")
     with pytest.raises(DegenerateInputError):
         D.load_speed_csv(p)

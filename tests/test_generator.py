@@ -5,7 +5,6 @@ import pytest
 
 from dgcrn import tensor as T
 from dgcrn.conv import ConvParams, supports
-from dgcrn.errors import DimensionError
 from dgcrn.generator import (
     DynamicGraph,
     GeneratorParams,
@@ -240,12 +239,3 @@ def test_generate_end_to_end_gradients(mode):
     for leaf in leaves:
         fd = T.finite_diff_grad(lambda _t: build(), leaf)
         assert T.max_rel_err(leaf.grad, fd.data) < 1e-4
-
-
-def test_generator_params_validation():
-    rng = np.random.default_rng(8)
-    emb = T.Tensor(rng.normal(size=(3, 2)))
-    g = StaticGraph(np.ones((4, 4)))
-    p = GeneratorParams(emb, emb, None, None, alpha_sat=1.0, filter_mode="frozen")
-    with pytest.raises(DimensionError):
-        generate(T.zeros((1, 4, 4)), _static(g), p)

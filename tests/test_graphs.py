@@ -147,3 +147,7 @@ def test_distance_csv_errors(tmp_path):
     p.write_text("from,to,distance\n0,1,oops\n")
     with pytest.raises(ConfigError):
         graphs.load_distance_csv(p)
+    # NaN fails a range check written as `not dist >= 0`
+    p.write_text("from,to,distance\n0,1,1.5\n0,1,nan\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv:3: "):
+        graphs.load_distance_csv(p)

@@ -56,15 +56,18 @@ def test_hidden_state_stays_bounded():
 
 
 def test_cell_input_validation():
+    # encode checks a batch's shape once, before any cell step runs
     rng = np.random.default_rng(2)
     g = _graph(rng, 3)
     params = M.init_model(_tiny_hp(), 3, seed=0)
-    with pytest.raises(DimensionError):
-        M.cell_step(T.zeros((1, 3, 5)), T.zeros((1, 3, 4)), g, params.encoder)
-    with pytest.raises(DimensionError):
-        M.cell_step(T.zeros((1, 3, 2)), T.zeros((1, 2, 4)), g, params.encoder)
-    with pytest.raises(DimensionError):
-        M.cell_step(T.zeros((1, 4, 2)), T.zeros((1, 4, 4)), g, params.encoder)
+    for shape in ((1, 2, 3, 5), (1, 2, 4, 2), (1, 0, 3, 2)):
+        with pytest.raises(DimensionError) as ei:
+            M.encode(T.zeros(shape), g, params)
+        assert "graph (3) and of the model (3); got shape %r" % (shape,) in str(ei.value)
+    # a model built for another node count: its embedding tables have 4 rows
+    other = M.init_model(_tiny_hp(), 4, seed=0)
+    with pytest.raises(DimensionError, match=r"graph \(3\) and of the model \(4\)"):
+        M.encode(T.zeros((1, 2, 3, 2)), g, other)
 
 
 def test_encode_base_case_and_zero_params():
@@ -116,15 +119,16 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
 # T.matmul and T.scaled_add calls in one cell step at hops = hyper_hops = 2.
 # A mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
 # and the dynamic diffusions, gamma 0 the static ones (the hyper-networks then
-# diffuse nothing), and alpha 0 the skip term, so U_k is W_k itself. Each
-# convolution makes one scaled_add per diffusion, onto its hop's projection,
-# plus K to build U_0..U_{K-1} when alpha is not 0: 6 per gate over both
-# graphs and 4 per hyper-network over the static one.
+# diffuse nothing and make only X U_0), and alpha 0 the skip term, so U_k is
+# W_k itself. Each convolution makes one scaled_add per diffusion, onto its
+# hop's projection, plus K to build U_0..U_{K-1} when alpha is not 0: 6 per
+# gate over both graphs and 4 per hyper-network over the static one (1, for
+# U_0 alone, with gamma 0).
 @pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
     ({}, 56, 44),
     ({"alpha_mix": 0.0}, 56, 28),
     ({"beta_mix": 0.0}, 30, 24),
-    ({"gamma_mix": 0.0}, 40, 28),
+    ({"gamma_mix": 0.0}, 36, 26),
     ({"filter_mode": "frozen"}, 44, 36),
     ({"hypernet": "affine"}, 46, 36),
     ({"filter_mode": "matmul"}, 58, 44),
