@@ -69,19 +69,16 @@ def dgconv_forward(h_in, supports, p: ConvParams):
         # U_0, its tail summed W_K + ... + W_1 in the order of the loop below
         u = ws[0]
         if alpha != 0.0 and len(ws) > 1:
-            u = T.scaled_add(ws[0], sum(ws[-2:0:-1], ws[-1]), alpha)
+            u = T.scaled_add(ws[0], [(alpha, sum(ws[-2:0:-1], ws[-1]))])
         return T.matmul(h_in, u)
     out = T.matmul(h_in, ws[-1])
     tail = ws[-1]  # sum of the weights of the hops above k
     for k in range(len(ws) - 2, -1, -1):
-        u = ws[k] if alpha == 0.0 else T.scaled_add(ws[k], tail, alpha)
+        u = ws[k] if alpha == 0.0 else T.scaled_add(ws[k], [(alpha, tail)])
         if k and alpha != 0.0:
             tail = tail + ws[k]
-        acc = T.matmul(h_in, u)
-        for coef, a in supports:
-            # acc + coef * A out as one tape node
-            acc = T.scaled_add(acc, T.matmul(a, out), coef)
-        out = acc
+        # X U_k + sum_j c_j A_j out as one tape node
+        out = T.scaled_add(T.matmul(h_in, u), [(c, T.matmul(a, out)) for c, a in supports])
     return out
 
 

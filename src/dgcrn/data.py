@@ -394,6 +394,16 @@ def write_speed_csv(series: SpeedSeries, path):
             writer.writerow(row)
 
 
+def _speed_cell(cell: str) -> float:
+    # an empty cell is the one missing marker; a written speed is finite and >= 0
+    if cell.strip() == "":
+        return np.nan
+    v = float(cell)
+    if not 0.0 <= v < np.inf:
+        raise ValueError("speed must be finite and >= 0; got %r" % cell)
+    return v
+
+
 def load_speed_csv(path, zero_as_missing: bool = False) -> SpeedSeries:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -415,7 +425,7 @@ def load_speed_csv(path, zero_as_missing: bool = False) -> SpeedSeries:
             except ValueError:
                 raise ConfigError("%s:%d: bad timestamp %r" % (path, lineno, row[0])) from None
             try:
-                rows.append([float(f) if f.strip() != "" else np.nan for f in row[1:]])
+                rows.append([_speed_cell(f) for f in row[1:]])
             except ValueError as e:
                 raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
     if not rows:

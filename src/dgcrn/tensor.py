@@ -253,6 +253,9 @@ class _Node:
 
 def _accum(t, g):
     # out of place: the stored array may be shared with another operand
+    if g.shape == t.shape and g.dtype == t.dtype:
+        t.grad = g if t.grad is None else t.grad + g
+        return
     g = _unbroadcast(g, t.shape)
     if t.grad is None:
         t.grad = np.broadcast_to(g, t.shape).astype(t.dtype, copy=False)
@@ -286,7 +289,7 @@ def tanh(t: Tensor) -> Tensor:
 def sigmoid(t: Tensor) -> Tensor:
     # exp(-|x|) never overflows, so both branches are stable
     z = np.exp(-np.abs(t.data))
-    data = np.where(t.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    data = np.where(t.data >= 0, 1.0, z) / (1.0 + z)
     return _from_op(data, (t,), (lambda g: g * data * (1.0 - data),))
 
 
@@ -304,10 +307,16 @@ def absolute(t: Tensor) -> Tensor:
 # the tape keeps only what the rules read, not every intermediate.
 
 
-def scaled_add(a: Tensor, b: Tensor, c: float) -> Tensor:
-    """a + c*b: one diffusion term of a convolution, or one of its Horner weights."""
-    c = np.asarray(c, dtype=b.data.dtype)
-    return _from_op(a.data + b.data * c, (a, b), (_identity, lambda g: g * c))
+def scaled_add(a: Tensor, terms) -> Tensor:
+    """a + sum_j c_j*b_j over (c_j, b_j) terms, summed left to right: one hop's
+    diffusion terms in a convolution, or one of its Horner weights."""
+    data, parents, rules = a.data, [a], [_identity]
+    for c, b in terms:
+        c = np.asarray(c, dtype=b.data.dtype)
+        data = data + b.data * c
+        parents.append(b)
+        rules.append(lambda g, c=c: g * c)
+    return _from_op(data, tuple(parents), tuple(rules))
 
 
 def relu_tanh_diff(a: Tensor, b: Tensor, alpha: float) -> Tensor:
@@ -382,6 +391,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ) from None
 
     def grad_a(g):
+        if y.shape[-1] == 1:
+            # an outer product (the readout): one multiply per entry, no BLAS call
+            return g * _swap_last(y)
         # BLAS takes a contiguous 2-D weight faster than its transposed view
         return np.matmul(g, np.ascontiguousarray(y.T) if y.ndim == 2 else _swap_last(y))
 

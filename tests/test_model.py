@@ -120,18 +120,18 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
 # A mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
 # and the dynamic diffusions, gamma 0 the static ones (the hyper-networks then
 # diffuse nothing and make only X U_0), and alpha 0 the skip term, so U_k is
-# W_k itself. Each convolution makes one scaled_add per diffusion, onto its
-# hop's projection, plus K to build U_0..U_{K-1} when alpha is not 0: 6 per
-# gate over both graphs and 4 per hyper-network over the static one (1, for
-# U_0 alone, with gamma 0).
+# W_k itself. Each convolution makes one scaled_add per hop that diffuses,
+# summing the hop's projection and its diffusions as one node, plus K to
+# build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network
+# (1, for U_0 alone, when gamma 0 leaves the hyper-networks nothing to diffuse).
 @pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
-    ({}, 56, 44),
-    ({"alpha_mix": 0.0}, 56, 28),
+    ({}, 56, 32),
+    ({"alpha_mix": 0.0}, 56, 16),
     ({"beta_mix": 0.0}, 30, 24),
     ({"gamma_mix": 0.0}, 36, 26),
-    ({"filter_mode": "frozen"}, 44, 36),
-    ({"hypernet": "affine"}, 46, 36),
-    ({"filter_mode": "matmul"}, 58, 44),
+    ({"filter_mode": "frozen"}, 44, 24),
+    ({"hypernet": "affine"}, 46, 24),
+    ({"filter_mode": "matmul"}, 58, 32),
 ], ids=["full", "alpha0", "beta0", "gamma0", "frozen", "affine", "matmul"])
 def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_adds):
     rng = np.random.default_rng(12)

@@ -247,6 +247,7 @@ def _fused_cases(dtype, seed=0):
         return T.Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
     a, b = leaf(rng.uniform(-1, 1, (2, 4, 3))), leaf(rng.uniform(-1, 1, (2, 4, 3)))
+    c = leaf(rng.uniform(-1, 1, (2, 4, 3)))
     emb = leaf(rng.uniform(-1, 1, (4, 3)))
     z = leaf(rng.uniform(0.05, 0.95, (2, 4, 3)))
     m = leaf(rng.uniform(0, 1, (2, 4, 4)))
@@ -255,14 +256,17 @@ def _fused_cases(dtype, seed=0):
     mt = leaf(np.swapaxes(rng.uniform(0, 1, (2, 4, 4)), -1, -2))
     eye = np.eye(4, dtype=dtype)
     # the unfused chain multiplied by a 0-d array of the operand dtype
-    beta, alpha = np.asarray(0.95, dtype), np.asarray(3.0, dtype)
+    beta, gamma, alpha = np.asarray(0.95, dtype), np.asarray(0.4, dtype), np.asarray(3.0, dtype)
 
     def normalized(x):
         loops = x + eye
         return loops / loops.sum(axis=-1, keepdims=True)
 
     return [
-        ([a, b], lambda: T.scaled_add(a, b, 0.95), lambda: a.data + b.data * beta),
+        ([a, b], lambda: T.scaled_add(a, [(0.95, b)]), lambda: a.data + b.data * beta),
+        # one hop over two supports: its whole diffusion sum is one node
+        ([a, b, c], lambda: T.scaled_add(a, [(0.95, b), (0.4, c)]),
+         lambda: a.data + b.data * beta + c.data * gamma),
         ([a, b], lambda: T.relu_tanh_diff(a, b, 3.0),
          lambda: np.maximum(np.tanh((a.data - b.data) * alpha), 0)),
         ([a, emb], lambda: T.tanh_product(a, emb, 3.0),
@@ -295,6 +299,18 @@ def test_fused_ops_record_one_tape_node():
         assert len(out._parents) == len(out._backward) == len(leaves)
         assert all(p is leaf for p, leaf in zip(out._parents, leaves))
         assert all(leaf._backward is None for leaf in leaves)
+    # a convolution hop over the dynamic and the static graph: its projection
+    # X U_0 and both diffusion products are the parents of one node
+    rng = np.random.default_rng(19)
+    n, b = 5, 2
+    graph = build_adjacency(synth_distances(n, seed=1), kappa=0.1)
+    raw = T.absolute(_leaf(rng, (b, n, n)))
+    dyn = SimpleNamespace(normalized=T.self_loop_normalize(raw),
+                          normalized_bwd=T.self_loop_normalize(raw.mT))
+    fwd, _ = conv.supports(graph, dyn, 0.95, 0.95, np.float64)
+    params = conv.ConvParams([_leaf(rng, (3, 4)) for _ in range(3)], alpha_mix=0.05)
+    out = conv.dgconv_forward(_leaf(rng, (b, n, 3)), fwd, params)
+    assert len(out._parents) == len(out._backward) == 3
 
 
 def test_relu_tanh_diff_tie_gets_zero_grad():
@@ -327,6 +343,29 @@ def test_nonlinearity_ranges():
     assert np.all(np.abs(T.tanh(big).data) <= 1.0)
     s = T.sigmoid(big).data
     assert np.all((s >= 0.0) & (s <= 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bitwise_the_two_branch_form(dtype):
+    x = np.random.default_rng(17).normal(scale=8.0, size=500).astype(dtype)
+    x[:3] = (0.0, -0.0, 40.0)
+    z = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    got = T.sigmoid(T.Tensor(x)).data
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_width_one_product_gradient_is_bitwise_blas(dtype):
+    # the readout's (.., K) x (K, 1) product: its input gradient is an outer
+    # product, taken without BLAS but bitwise equal to the BLAS product
+    rng = np.random.default_rng(18)
+    h = T.Tensor(rng.normal(size=(3, 7, 5)).astype(dtype), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(5, 1)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(3, 7, 1)).astype(dtype)
+    (T.matmul(h, w) * T.Tensor(g)).sum().backward()
+    assert h.grad.dtype == dtype
+    assert h.grad.tobytes() == np.matmul(g, np.ascontiguousarray(w.data.T)).tobytes()
 
 
 def test_sigmoid_extreme_inputs_finite():
@@ -421,7 +460,7 @@ _LIVENESS = [
     ("tanh", T.tanh, (False,), True),
     ("sigmoid", T.sigmoid, (False,), True),
     ("absolute", T.absolute, (True,), False),
-    ("scaled_add", lambda u, v: T.scaled_add(u, v, 0.5), (False, False), False),
+    ("scaled_add", lambda u, v: T.scaled_add(u, [(0.5, v)]), (False, False), False),
     ("relu_tanh_diff", lambda u, v: T.relu_tanh_diff(u, v, 3.0), (False, False), True),
     ("tanh_product", lambda u, v: T.tanh_product(u, v, 3.0), (True, True), True),
     ("self_loop_normalize", T.self_loop_normalize, (False,), True),
