@@ -14,7 +14,10 @@ therefore evaluates the sum in Horner form,
     out = X U_0 + D(X U_1 + D(X U_2 + ... + D(X U_K))),
     U_i = W_i + alpha * sum_{k>i} W_k,
 
-building each U_i from the per-hop weights at forward time. The matmul
+with each hop, X U_k plus all its diffusion terms, one tape node.
+`horner_weights` builds the U_i from the per-hop weights; `model.encode` and
+`model.decode` build them once per forward and every cell step reuses them,
+so a forward records them once, not P+Q times. The matmul
 count is that of the hop-by-hop form, (K+1) + K |supports|, but every N x N
 product multiplies a D_out-wide array (hidden in the gates, hyper_dim in
 the hyper-networks) instead of the D_in = 2 + hidden wide input. At the
@@ -27,7 +30,7 @@ dynamic graph first, and leaves out every support whose coefficient is
 exactly 0; with alpha 0, U_i is W_i itself and no skip term is formed. So
 disabling a branch via config is bit-identical to a build without it. An
 empty list (a hyper-network with gamma_mix 0) diffuses nothing, so only
-X U_0 is built: one matmul.
+X U_0 is formed: one matmul.
 """
 from __future__ import annotations
 
@@ -62,26 +65,33 @@ def supports(graph, dyn, beta_mix: float, gamma_mix: float, dtype):
     return fwd, bwd
 
 
-def dgconv_forward(h_in, supports, p: ConvParams):
-    """K-hop convolution of h_in (B x N x D_in) -> B x N x D_out, in Horner form."""
+def horner_weights(p: ConvParams) -> list:
+    """[U_0, ..., U_K] with U_i = W_i + alpha * sum_{k>i} W_k, the W_i themselves
+    with alpha 0. Each tail is summed from W_K down."""
     ws, alpha = p.hop_weights, p.alpha_mix
-    if not supports:
-        # U_0, its tail summed W_K + ... + W_1 in the order of the loop below
-        u = ws[0]
-        if alpha != 0.0 and len(ws) > 1:
-            u = T.scaled_add(ws[0], [(alpha, sum(ws[-2:0:-1], ws[-1]))])
-        return T.matmul(h_in, u)
-    out = T.matmul(h_in, ws[-1])
+    if alpha == 0.0:
+        return list(ws)
+    us = [ws[-1]]
     tail = ws[-1]  # sum of the weights of the hops above k
     for k in range(len(ws) - 2, -1, -1):
-        u = ws[k] if alpha == 0.0 else T.scaled_add(ws[k], [(alpha, tail)])
-        if k and alpha != 0.0:
+        us.append(T.scaled_add(ws[k], [(alpha, tail)]))
+        if k:
             tail = tail + ws[k]
+    return us[::-1]
+
+
+def dgconv_forward(h_in, supports, us):
+    """K-hop convolution of h_in (B x N x D_in) -> B x N x D_out, in Horner form
+    over the weights `horner_weights` built."""
+    if not supports:
+        return T.matmul(h_in, us[0])
+    out = T.matmul(h_in, us[-1])
+    for u in us[-2::-1]:
         # X U_k + sum_j c_j A_j out as one tape node
         out = T.scaled_add(T.matmul(h_in, u), [(c, T.matmul(a, out)) for c, a in supports])
     return out
 
 
-def dual_dgconv(h_in, fwd, bwd, p_fwd: ConvParams, p_bwd: ConvParams):
+def dual_dgconv(h_in, fwd, bwd, us_fwd, us_bwd):
     """Sum of forward- and backward-direction convolutions, independent weights each."""
-    return dgconv_forward(h_in, fwd, p_fwd) + dgconv_forward(h_in, bwd, p_bwd)
+    return dgconv_forward(h_in, fwd, us_fwd) + dgconv_forward(h_in, bwd, us_bwd)

@@ -29,7 +29,7 @@ from dgcrn.graphs import build_adjacency
 from dgcrn.model import HyperParams, init_model, named_parameters
 from dgcrn.training import Adam, TrainConfig, TrainState, predict, train_step
 
-EXPECTED = "91df712fb0536f5ac3350f4065318a2cbbb89242a74b2f33dc15f19355569d6f"
+EXPECTED = "ae2077040a660637b80c7f0b737300359f838accc4b6fd0a552481f91cf279ae"
 
 N_NODES, LEN, BATCH, STEPS = 8, 4, 4, 4
 

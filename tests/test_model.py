@@ -38,7 +38,7 @@ def test_zero_parameters_halve_hidden_state():
     _zero_all(params)
     h_prev = T.Tensor(rng.normal(size=(2, 3, 4)))
     x_t = T.Tensor(rng.normal(size=(2, 3, 2)))
-    h_t, dyn = M.cell_step(x_t, h_prev, g, params.encoder)
+    h_t, dyn = M.cell_step(x_t, h_prev, g, params.encoder, M.cell_weights(params.encoder))
     # z = r = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0
     assert np.allclose(h_t.data, 0.5 * h_prev.data, atol=1e-15)
     assert dyn is not None
@@ -49,9 +49,10 @@ def test_hidden_state_stays_bounded():
     g = _graph(rng, 4)
     params = M.init_model(_tiny_hp(), 4, seed=1, dtype=np.float64)
     h = T.zeros((2, 4, 4))
+    us = M.cell_weights(params.encoder)
     for step in range(6):
         x_t = T.Tensor(rng.normal(size=(2, 4, 2)))
-        h, _ = M.cell_step(x_t, h, g, params.encoder)
+        h, _ = M.cell_step(x_t, h, g, params.encoder, us)
         assert np.all(np.abs(h.data) < 1.0)
 
 
@@ -77,7 +78,8 @@ def test_encode_base_case_and_zero_params():
     x1 = T.Tensor(rng.normal(size=(2, 1, 3, 2)))
     h_final = M.encode(x1, g, params)
     step, _ = M.cell_step(
-        T.Tensor(x1.data[:, 0]), T.zeros((2, 3, 4), dtype=np.float64), g, params.encoder
+        T.Tensor(x1.data[:, 0]), T.zeros((2, 3, 4), dtype=np.float64), g, params.encoder,
+        M.cell_weights(params.encoder),
     )
     assert np.array_equal(h_final.data, step.data)
     # shape independent of P
@@ -116,19 +118,19 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
     assert calls["n"] == 3 + 2
 
 
-# T.matmul and T.scaled_add calls in one cell step at hops = hyper_hops = 2.
-# A mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
-# and the dynamic diffusions, gamma 0 the static ones (the hyper-networks then
-# diffuse nothing and make only X U_0), and alpha 0 the skip term, so U_k is
-# W_k itself. Each convolution makes one scaled_add per hop that diffuses,
+# T.matmul and T.scaled_add calls in building a cell's Horner weights and
+# running one cell step, at hops = hyper_hops = 2. A mixing coefficient of
+# exactly 0 adds no term: beta 0 drops the generator and the dynamic
+# diffusions, gamma 0 the static ones (the hyper-networks then diffuse
+# nothing and make only X U_0), and alpha 0 the skip term, so U_k is W_k
+# itself. Each convolution makes one scaled_add per hop that diffuses,
 # summing the hop's projection and its diffusions as one node, plus K to
-# build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network
-# (1, for U_0 alone, when gamma 0 leaves the hyper-networks nothing to diffuse).
+# build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network.
 @pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
     ({}, 56, 32),
     ({"alpha_mix": 0.0}, 56, 16),
     ({"beta_mix": 0.0}, 30, 24),
-    ({"gamma_mix": 0.0}, 36, 26),
+    ({"gamma_mix": 0.0}, 36, 28),
     ({"filter_mode": "frozen"}, 44, 24),
     ({"hypernet": "affine"}, 46, 24),
     ({"filter_mode": "matmul"}, 58, 32),
@@ -151,8 +153,37 @@ def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_a
     for name in calls:
         monkeypatch.setattr(T, name, counting(name))
     M.cell_step(T.Tensor(rng.normal(size=(2, 4, 2))), T.Tensor(rng.normal(size=(2, 4, 4))),
-                g, params.encoder)
+                g, params.encoder, M.cell_weights(params.encoder))
     assert calls == {"matmul": matmuls, "scaled_add": scaled_adds}
+
+
+@pytest.mark.parametrize("p_len,q_len", [(1, 1), (3, 2), (5, 4)])
+def test_horner_weights_built_once_per_forward(monkeypatch, p_len, q_len):
+    # encode and decode each build their cell's U_0..U_{K-1} once, so every
+    # hop weight below the top one starts exactly one scaled_add per forward,
+    # however many cell steps run
+    rng = np.random.default_rng(15)
+    g = _graph(rng, 3)
+    params = M.init_model(_tiny_hp(hyper_hops=2, input_len=p_len, output_len=q_len), 3,
+                          seed=15, dtype=np.float64)
+    names = {id(t): name for name, t in M.named_parameters(params)}
+    built = []
+    real = T.scaled_add
+
+    def recording(a, *rest):
+        if id(a) in names:
+            built.append(names[id(a)])
+        return real(a, *rest)
+
+    monkeypatch.setattr(T, "scaled_add", recording)
+    x = T.Tensor(rng.normal(size=(2, p_len, 3, 2)))
+    tod = T.Tensor(rng.uniform(0, 1, (2, q_len, 3, 1)))
+    M.decode(M.encode(x, g, params), tod, g, params)
+    below_top = [n for n in names.values()
+                 if n.endswith((".w0", ".w1")) and not n.startswith("readout")]
+    # 2 halves x (6 gate + 2 hyper-network convolutions) x U_0, U_1
+    assert len(below_top) == 32
+    assert sorted(built) == sorted(below_top)
 
 
 def test_graph_products_multiply_output_width(monkeypatch):
@@ -172,7 +203,7 @@ def test_graph_products_multiply_output_width(monkeypatch):
 
     monkeypatch.setattr(T, "matmul", recording)
     M.cell_step(T.Tensor(rng.normal(size=(2, n, 2))), T.Tensor(rng.normal(size=(2, n, 5))),
-                _graph(rng, n), params.encoder)
+                _graph(rng, n), params.encoder, M.cell_weights(params.encoder))
     # 6 gate convolutions x 2 hops x 2 graphs, 2 hyper-networks x 2 hops x 1
     assert sorted(widths) == [3] * 4 + [5] * 24
 

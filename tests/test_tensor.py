@@ -309,7 +309,7 @@ def test_fused_ops_record_one_tape_node():
                           normalized_bwd=T.self_loop_normalize(raw.mT))
     fwd, _ = conv.supports(graph, dyn, 0.95, 0.95, np.float64)
     params = conv.ConvParams([_leaf(rng, (3, 4)) for _ in range(3)], alpha_mix=0.05)
-    out = conv.dgconv_forward(_leaf(rng, (b, n, 3)), fwd, params)
+    out = conv.dgconv_forward(_leaf(rng, (b, n, 3)), fwd, conv.horner_weights(params))
     assert len(out._parents) == len(out._backward) == 3
 
 
@@ -518,7 +518,8 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "matmul", recording)
-    out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, fwd, params)
+    us = conv.horner_weights(params)
+    out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, fwd, us)
     # X U_2, then (X U_k, dynamic, static) per hop
     assert len(products) == 7
     assert [i for i, r in enumerate(products) if r() is not None] == [0]

@@ -267,8 +267,8 @@ def test_predict_frees_encoder_states_before_decoding(monkeypatch):
     states = []
     real_step, real_decode = M.cell_step, TR.decode
 
-    def recording_step(x_t, h, g, cell, where="step"):
-        h_new, dyn = real_step(x_t, h, g, cell, where)
+    def recording_step(x_t, h, g, cell, us, where="step"):
+        h_new, dyn = real_step(x_t, h, g, cell, us, where)
         if cell is params.encoder:
             states.append(weakref.ref(h_new.data))
         return h_new, dyn
