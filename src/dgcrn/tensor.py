@@ -252,7 +252,8 @@ class _Node:
 
 
 def _accum(t, g):
-    # out of place: the stored array may be shared with another operand
+    # out of place: the stored array may be shared with another operand; a
+    # gradient of the parent's own shape and dtype needs no reduction or cast
     if g.shape == t.shape and g.dtype == t.dtype:
         t.grad = g if t.grad is None else t.grad + g
         return

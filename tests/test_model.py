@@ -125,7 +125,8 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
 # nothing and make only X U_0), and alpha 0 the skip term, so U_k is W_k
 # itself. Each convolution makes one scaled_add per hop that diffuses,
 # summing the hop's projection and its diffusions as one node, plus K to
-# build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network.
+# build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network
+# (2 with gamma 0, where a hyper-network's U list is built but only U_0 used).
 @pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
     ({}, 56, 32),
     ({"alpha_mix": 0.0}, 56, 16),
