@@ -110,13 +110,10 @@ def _load_series(cfg):
     path = cfg.data.speeds
     if not path:
         raise ConfigError("data.speeds is not set; point it at a speed file")
-    if path.endswith(".bin"):
-        series = S.load_speed_bin(path)
-        if cfg.data.zero_as_missing:
-            series = D.SpeedSeries(D.mask_zero_sentinel(series.values),
-                                   series.dt_seconds, series.start_epoch)
-        return series
-    return D.load_speed_csv(path, zero_as_missing=cfg.data.zero_as_missing)
+    series = S.load_speed_bin(path) if path.endswith(".bin") else D.load_speed_csv(path)
+    if cfg.data.zero_as_missing:
+        series.values = D.mask_zero_sentinel(series.values)
+    return series
 
 
 def _load_graph(cfg):

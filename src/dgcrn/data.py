@@ -370,12 +370,61 @@ def synth_generate(n_nodes: int, n_days: int, graph, seed: int,
 # -- text file interface ----------------------------------------------------------------
 
 
+def read_csv(path, header, convert) -> list:
+    """Rows of a UTF-8 CSV file, each turned into a value by `convert`.
+
+    header(names) is given the first line's names, stripped of spaces, and
+    raises ValueError saying what it expected. Blank lines are skipped;
+    every other line must have as many fields as the header, and
+    convert(fields) raises ValueError on a value it rejects. Each error is
+    a ConfigError naming the file and, for a row, its line.
+    """
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = [h.strip() for h in next(reader, [])]
+            header(names)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise ConfigError("%s:%d: expected %d fields, got %d"
+                                      % (path, lineno, len(names), len(row)))
+                try:
+                    rows.append(convert(row))
+                except ValueError as e:
+                    raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
+        except (ValueError, csv.Error) as e:  # header rule, UTF-8 decoder or csv module
+            raise ConfigError("%s: %s" % (path, e)) from None
+    return rows
+
+
+def exact_header(names):
+    """Header rule for a file whose first line is exactly `names`."""
+    def check(got):
+        if got != names:
+            raise ValueError("expected header %s, got %r" % (",".join(names), ",".join(got)))
+    return check
+
+
+def write_csv(path, header, rows):
+    """Write `header` then `rows` as UTF-8 CSV lines."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _iso(ts: int) -> str:
     return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
 def _from_iso(text: str) -> int:
-    d = datetime.fromisoformat(text)
+    try:
+        d = datetime.fromisoformat(text)
+    except ValueError:
+        raise ValueError("bad timestamp %r" % text) from None
     if d.tzinfo is None:
         d = d.replace(tzinfo=timezone.utc)
     return int(d.timestamp())
@@ -383,15 +432,14 @@ def _from_iso(text: str) -> int:
 
 def write_speed_csv(series: SpeedSeries, path):
     """`timestamp,<node...>` rows; missing entries are left empty."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + [str(i) for i in range(series.n_nodes)])
-        ts = series.timestamps()
-        for t in range(series.n_steps):
-            row = [_iso(ts[t])]
-            for v in series.values[t]:
-                row.append("" if not np.isfinite(v) else repr(float(v)))
-            writer.writerow(row)
+    write_csv(path, ["timestamp"] + [str(i) for i in range(series.n_nodes)],
+              ([_iso(ts)] + ["" if not np.isfinite(v) else repr(float(v)) for v in row]
+               for ts, row in zip(series.timestamps(), series.values)))
+
+
+def _speed_header(names):
+    if len(names) < 2 or names[0] != "timestamp":
+        raise ValueError("expected header 'timestamp,<node columns>'")
 
 
 def _speed_cell(cell: str) -> float:
@@ -404,35 +452,12 @@ def _speed_cell(cell: str) -> float:
     return v
 
 
-def load_speed_csv(path, zero_as_missing: bool = False) -> SpeedSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "timestamp" or len(header) < 2:
-            raise ConfigError("%s: expected header 'timestamp,<node columns>'" % path)
-        n = len(header) - 1
-        stamps = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise ConfigError(
-                    "%s:%d: expected %d fields, got %d" % (path, lineno, n + 1, len(row))
-                )
-            try:
-                stamps.append(_from_iso(row[0]))
-            except ValueError:
-                raise ConfigError("%s:%d: bad timestamp %r" % (path, lineno, row[0])) from None
-            try:
-                rows.append([_speed_cell(f) for f in row[1:]])
-            except ValueError as e:
-                raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
+def load_speed_csv(path) -> SpeedSeries:
+    rows = read_csv(path, _speed_header,
+                    lambda row: (_from_iso(row[0]), [_speed_cell(f) for f in row[1:]]))
     if not rows:
         raise DegenerateInputError("%s: no data rows" % path)
-    values = np.asarray(rows, dtype=np.float64)
-    if zero_as_missing:
-        values = mask_zero_sentinel(values)
+    stamps, cells = zip(*rows)
     stamps = np.asarray(stamps, dtype=np.int64)
     if len(stamps) > 1:
         deltas = np.diff(stamps)
@@ -441,4 +466,4 @@ def load_speed_csv(path, zero_as_missing: bool = False) -> SpeedSeries:
         dt = int(deltas[0])
     else:
         dt = 300
-    return SpeedSeries(values, dt, int(stamps[0]))
+    return SpeedSeries(np.asarray(cells, dtype=np.float64), dt, int(stamps[0]))

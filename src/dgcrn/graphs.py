@@ -7,10 +7,9 @@ of exp(0)=1, which survives any kappa < 1 and keeps every row sum positive.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from .data import exact_header, read_csv, write_csv
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .tensor import Tensor
 
@@ -90,32 +89,18 @@ def normalize_static(a) -> np.ndarray:
 _CSV_HEADER = ["from", "to", "distance"]
 
 
+def _distance_row(row):
+    src, dst, dist = int(row[0]), int(row[1]), float(row[2])
+    # written so that a NaN distance fails it
+    if src < 0 or dst < 0 or not dist >= 0:
+        raise ValueError("ids and distance must be >= 0; got %s" % ",".join(row))
+    return src, dst, dist
+
+
 def load_distance_csv(path, n_nodes: int | None = None) -> np.ndarray:
     """Read `from,to,distance` rows into a dense matrix, inf for absent pairs."""
-    entries = []
-    max_id = -1
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CSV_HEADER:
-            raise ConfigError(
-                "%s: expected header %s, got %r" % (path, ",".join(_CSV_HEADER), header)
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ConfigError("%s:%d: expected 3 fields, got %d" % (path, lineno, len(row)))
-            try:
-                src, dst, dist = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as e:
-                raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
-            # written so that a NaN distance fails it
-            if src < 0 or dst < 0 or not dist >= 0:
-                raise ConfigError("%s:%d: ids and distance must be >= 0; got %s"
-                                  % (path, lineno, ",".join(row)))
-            entries.append((src, dst, dist))
-            max_id = max(max_id, src, dst)
+    entries = read_csv(path, exact_header(_CSV_HEADER), _distance_row)
+    max_id = max((max(src, dst) for src, dst, _ in entries), default=-1)
     if max_id < 0 and n_nodes is None:
         raise DegenerateInputError("%s: no edges" % path)
     n = n_nodes if n_nodes is not None else max_id + 1
@@ -130,11 +115,7 @@ def load_distance_csv(path, n_nodes: int | None = None) -> np.ndarray:
 
 def write_distance_csv(path, distances):
     d = np.asarray(distances)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        n = d.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if i != j and np.isfinite(d[i, j]):
-                    writer.writerow([i, j, repr(float(d[i, j]))])
+    n = d.shape[0]
+    write_csv(path, _CSV_HEADER, ([i, j, repr(float(d[i, j]))]
+                                  for i in range(n) for j in range(n)
+                                  if i != j and np.isfinite(d[i, j])))

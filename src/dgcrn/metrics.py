@@ -6,11 +6,9 @@ percent.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .data import WEEK_SECONDS, SpeedSeries, normalize
+from .data import WEEK_SECONDS, SpeedSeries, exact_header, normalize, read_csv, write_csv
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
@@ -232,16 +230,13 @@ def render_analysis(report: dict) -> str:
 
 def write_analysis_csv(path, report: dict):
     """Histogram bins as CSV rows: kind, bin_lo, bin_hi, count."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "bin_lo", "bin_hi", "count"])
-        edges = report["speed_hist_edges"]
-        for c, a, b in zip(report["speed_hist_counts"], edges, edges[1:]):
-            writer.writerow(["speed", repr(float(a)), repr(float(b)), c])
-        if "corr_hist_edges" in report:
-            edges = report["corr_hist_edges"]
-            for c, a, b in zip(report["corr_hist_counts"], edges, edges[1:]):
-                writer.writerow(["correlation", repr(float(a)), repr(float(b)), c])
+    rows = []
+    for kind, key in (("speed", "speed_hist"), ("correlation", "corr_hist")):
+        if key + "_edges" in report:
+            edges = report[key + "_edges"]
+            rows += [[kind, repr(float(a)), repr(float(b)), c]
+                     for c, a, b in zip(report[key + "_counts"], edges, edges[1:])]
+    write_csv(path, ["kind", "bin_lo", "bin_hi", "count"], rows)
 
 
 # -- report output ------------------------------------------------------------------
@@ -250,37 +245,15 @@ _REPORT_HEADER = ["model", "horizon", "mae", "rmse", "mape", "n_observed"]
 
 
 def write_report_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_REPORT_HEADER)
-        for model, horizon, mae, rmse, mape, n in rows:
-            writer.writerow([model, horizon, repr(float(mae)), repr(float(rmse)),
-                             repr(float(mape)), n])
-
-
-def read_typed_csv(path, header, kinds):
-    """Rows of a CSV file whose first line is `header`, each field
-    converted by the matching callable in `kinds`; blank lines skipped."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ConfigError("%s: expected header %s" % (path, ",".join(header)))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError("%s:%d: expected %d fields, got %d"
-                                  % (path, lineno, len(header), len(row)))
-            try:
-                rows.append(tuple(kind(v) for kind, v in zip(kinds, row)))
-            except ValueError as e:
-                raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
-    return rows
+    write_csv(path, _REPORT_HEADER,
+              ([model, horizon, repr(float(mae)), repr(float(rmse)), repr(float(mape)), n]
+               for model, horizon, mae, rmse, mape, n in rows))
 
 
 def load_report_csv(path):
-    return read_typed_csv(path, _REPORT_HEADER, (str, int, float, float, float, int))
+    kinds = (str, int, float, float, float, int)
+    return read_csv(path, exact_header(_REPORT_HEADER),
+                    lambda row: tuple(kind(v) for kind, v in zip(kinds, row)))
 
 
 def format_report_table(rows) -> str:

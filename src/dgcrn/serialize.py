@@ -94,7 +94,11 @@ def read_container(path, magic: bytes):
         (count,) = struct.unpack("<I", _need(fh, 4, path))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _need(fh, 2, path))
-            name = _need(fh, name_len, path).decode("utf-8")
+            raw_name = _need(fh, name_len, path)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ConfigError("%s: record name %r is not UTF-8" % (path, raw_name)) from None
             tag, ndim = struct.unpack("<BB", _need(fh, 2, path))
             if tag == _TAG_JSON:
                 (nbytes,) = struct.unpack("<I", _need(fh, 4, path))
@@ -214,6 +218,11 @@ def load_speed_bin(path) -> SpeedSeries:
         if fh.read(1):
             raise ConfigError("%s: trailing bytes" % path)
     values = np.frombuffer(raw, dtype="<f4").reshape(t, n).astype(np.float64)
+    bad = np.argwhere((values < 0.0) | np.isinf(values))  # NaN marks a missing reading
+    if bad.size:
+        step, node = bad[0]
+        raise ConfigError("%s: step %d node %d: speed must be finite and >= 0; got %r"
+                          % (path, step, node, float(values[step, node])))
     return SpeedSeries(values, dt, start)
 
 
@@ -237,6 +246,9 @@ def load_graph_bin(path) -> StaticGraph:
     if "adjacency" not in named or isinstance(named["adjacency"], bytes):
         raise ConfigError("%s: missing adjacency record" % path)
     meta = _read_meta(path, records)
+    # written so that a NaN weight fails it
+    if not np.all((named["adjacency"] >= 0.0) & (named["adjacency"] < np.inf)):
+        raise ConfigError("%s: adjacency weights must be finite and >= 0" % path)
     graph = StaticGraph(named["adjacency"])
     if meta.get("n_nodes") != graph.n_nodes:
         raise ConfigError("%s: metadata says %r nodes but the adjacency has %d"

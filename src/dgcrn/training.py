@@ -9,16 +9,15 @@ at 1 on the first batch.
 """
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .data import NormStats, WindowedDataset, normalize
+from .data import NormStats, WindowedDataset, exact_header, normalize, read_csv, write_csv
 from .errors import ConfigError, DegenerateInputError, NumericError
-from .metrics import masked_metrics, per_horizon_metrics, read_typed_csv
+from .metrics import masked_metrics, per_horizon_metrics
 from .model import ModelParams, decode, encode, named_parameters, zero_grads
 
 
@@ -300,14 +299,13 @@ _LOG_HEADER = ["epoch", "train_mae", "val_mae", "val_rmse", "val_mape",
 
 
 def write_training_log(path, history):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LOG_HEADER)
-        for epoch, tr, vm, vr, vp, sec, hor, sp in history:
-            writer.writerow([epoch, repr(float(tr)), repr(float(vm)), repr(float(vr)),
-                             repr(float(vp)), repr(float(sec)), hor, repr(float(sp))])
+    write_csv(path, _LOG_HEADER,
+              ([epoch, repr(float(tr)), repr(float(vm)), repr(float(vr)),
+                repr(float(vp)), repr(float(sec)), hor, repr(float(sp))]
+               for epoch, tr, vm, vr, vp, sec, hor, sp in history))
 
 
 def load_training_log(path):
-    return read_typed_csv(path, _LOG_HEADER,
-                          (int, float, float, float, float, float, int, float))
+    kinds = (int, float, float, float, float, float, int, float)
+    return read_csv(path, exact_header(_LOG_HEADER),
+                    lambda row: tuple(kind(v) for kind, v in zip(kinds, row)))

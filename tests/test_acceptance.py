@@ -354,7 +354,8 @@ def test_10_historical_average_on_real_data():
     if path is None:
         pytest.skip("real speed data not found; set DGCRN_METRLA to a "
                     "timestamped speed CSV to enable this check")
-    series = D.load_speed_csv(path, zero_as_missing=True)
+    series = D.load_speed_csv(path)
+    series.values = D.mask_zero_sentinel(series.values)
     seg_train, _, seg_test = D.split(series, "ratio", 0.7, 0.1, 0.2)
     ha = MT.HistoricalAverage(series.dt_seconds).fit(seg_train)
     windows = D.make_windows(seg_test, 12, 12)

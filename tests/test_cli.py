@@ -1,16 +1,20 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from dgcrn import data as D
 from dgcrn import metrics as MT
 from dgcrn import model as M
 from dgcrn import serialize as S
 from dgcrn import training as TR
-from dgcrn.cli import _setup_threads, main
-from dgcrn.data import NormStats
+from dgcrn.cli import _load_series, _setup_threads, main
+from dgcrn.config import default_config
+from dgcrn.data import NormStats, SpeedSeries
+from dgcrn.graphs import StaticGraph
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +306,68 @@ def test_eval_rejects_forged_checkpoint(workdir, tmp_path, capsys, key, value, m
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: %s: " % ckpt), err
     assert re.search(match, lines[0]), err
+
+
+def _forge_record_name(path):
+    ckpt = path / "forged.ckpt"
+    hp = M.HyperParams(hidden=4, emb_dim=3, hyper_dim=3, hops=1, hyper_hops=1,
+                       input_len=4, output_len=2)
+    S.save_checkpoint(ckpt, M.init_model(hp, 6, seed=0), NormStats(50.0, 10.0))
+    whole = ckpt.read_bytes()
+    at = whole.index(b"__meta__")
+    ckpt.write_bytes(whole[:at - 2] + struct.pack("<H", 2) + b"\xff\xfe" + whole[at + 8:])
+    return ckpt
+
+
+def _forge_speeds(path):
+    v = np.full((600, 6), 50.0)
+    v[5, 1] = np.inf
+    S.save_speed_bin(path / "speeds.bin", SpeedSeries(v, 300, 0))
+    return path / "speeds.bin"
+
+
+def _forge_graph(path):
+    a = np.eye(6)
+    a[0, 1] = np.nan
+    S.save_graph_bin(path / "graph.bin", StaticGraph(a))
+    return path / "graph.bin"
+
+
+@pytest.mark.parametrize("forge, key", [
+    (_forge_record_name, None),
+    (_forge_speeds, "speeds"),
+    (_forge_graph, "distances"),
+], ids=["ckpt-record-name", "speeds-bin-inf", "graph-bin-nan"])
+def test_forged_binary_is_one_error_line(workdir, tmp_path, capsys, forge, key):
+    forged = forge(tmp_path)
+    if key is None:
+        argv = ["eval", str(forged), "--config", workdir["cfg"]]
+    else:
+        cfg = tmp_path / "run.yaml"
+        files = {"speeds": workdir["data"] / "speeds.bin",
+                 "distances": workdir["data"] / "distances.csv", key: forged}
+        cfg.write_text("data:\n  speeds: %(speeds)s\n  distances: %(distances)s\n" % files,
+                       encoding="utf-8")
+        argv = ["analyze", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: %s: " % forged), err
+
+
+def test_load_series_zero_as_missing(tmp_path):
+    # the 0.0-as-missing sentinel applies alike to both speed file kinds
+    series = SpeedSeries(np.array([[0.0, 4.0], [5.0, 6.0]]), 300, 0)
+    D.write_speed_csv(series, tmp_path / "speeds.csv")
+    S.save_speed_bin(tmp_path / "speeds.bin", series)
+    cfg = default_config()
+    for name in ("speeds.csv", "speeds.bin"):
+        cfg.data.speeds = str(tmp_path / name)
+        cfg.data.zero_as_missing = False
+        assert np.array_equal(_load_series(cfg).values, series.values), name
+        cfg.data.zero_as_missing = True
+        masked = _load_series(cfg).values
+        assert np.isnan(masked[0, 0]), name
+        assert np.array_equal(masked.ravel()[1:], [4.0, 5.0, 6.0]), name
 
 
 def test_gradcheck_passes(capsys):

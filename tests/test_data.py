@@ -1,9 +1,14 @@
 """Series container, normalization, splits, windows, imputation, synth data."""
+import re
+
 import numpy as np
 import pytest
 from numpy.lib.array_utils import byte_bounds
 
 from dgcrn import data as D
+from dgcrn import graphs as G
+from dgcrn import metrics as M
+from dgcrn import training as TR
 from dgcrn.errors import ConfigError, DegenerateInputError, DimensionError
 from dgcrn.graphs import StaticGraph, build_adjacency
 
@@ -340,16 +345,6 @@ def test_speed_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.values[finite], s.values[finite], rtol=0, atol=0)
 
 
-def test_speed_csv_zero_as_missing(tmp_path):
-    s = D.SpeedSeries(np.array([[0.0, 4.0], [5.0, 6.0]]), 300, 0)
-    path = tmp_path / "speeds.csv"
-    D.write_speed_csv(s, path)
-    plain = D.load_speed_csv(path)
-    assert plain.values[0, 0] == 0.0
-    masked = D.load_speed_csv(path, zero_as_missing=True)
-    assert np.isnan(masked.values[0, 0])
-
-
 def test_speed_csv_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,0,1\n")
@@ -381,6 +376,53 @@ def test_speed_csv_errors(tmp_path):
     )
     with pytest.raises(ConfigError):
         D.load_speed_csv(p)
+
+
+# per reader: header, two good rows, a short row, a row with a bad value
+_CSV_FORMATS = {
+    "speed": (D.load_speed_csv, "timestamp,0,1",
+              ["2024-01-01T00:00:00,1.0,2.0", "2024-01-01T00:05:00,1.5,2.5"],
+              "2024-01-01T00:10:00,1.0", "2024-01-01T00:10:00,x,2.0"),
+    "distance": (G.load_distance_csv, "from,to,distance",
+                 ["0,1,1.5", "1,0,2.5"], "0,1", "0,x,1.0"),
+    "report": (M.load_report_csv, "model,horizon,mae,rmse,mape,n_observed",
+               ["dgcrn,3,2.5,4.25,6.125,1200", "ha,3,3.0,4.0,5.0,1200"],
+               "dgcrn,3", "dgcrn,3,2.5,x,6.125,1200"),
+    "log": (TR.load_training_log,
+            "epoch,train_mae,val_mae,val_rmse,val_mape,seconds,horizon_i,ss_prob",
+            ["1,2.0,3.0,4.0,5.0,6.0,1,0.5", "2,1.5,2.5,3.5,4.5,5.5,2,0.25"],
+            "1,2.0", "2,1.5,2.5,3.5,4.5,5.5,two,0.25"),
+}
+
+
+def _comparable(loaded):
+    if isinstance(loaded, D.SpeedSeries):
+        return loaded.values.tolist(), loaded.dt_seconds, loaded.start_epoch
+    return np.asarray(loaded, dtype=object).tolist()
+
+
+@pytest.mark.parametrize("fmt", sorted(_CSV_FORMATS))
+def test_csv_readers_share_rules(tmp_path, fmt):
+    read, header, good, short, bad = _CSV_FORMATS[fmt]
+    path = tmp_path / ("%s.csv" % fmt)
+    where = re.escape(str(path))
+
+    def rejects(text, match):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        with pytest.raises(ConfigError, match=match):
+            read(path)
+
+    rejects("wrong,header\n" + "\n".join(good) + "\n", "^%s: expected header" % where)
+    rejects("\n".join([header, good[0], short]) + "\n", "^%s:3: expected %d fields, got %d"
+            % (where, header.count(",") + 1, short.count(",") + 1))
+    rejects("\n".join([header, good[0], bad]) + "\n", "^%s:3: " % where)
+    rejects(("\n".join([header, good[0]]) + "\n").encode("utf-8") + b"\xff,\xfe\n",
+            "^%s: .*utf-8" % where)
+    rejects("\n".join([header, good[0], "9" * 200000]) + "\n", "^%s: field larger" % where)
+    path.write_text("\n".join([header] + good) + "\n", encoding="utf-8")
+    plain = read(path)
+    path.write_text("\n".join([header, good[0], "", good[1], ""]) + "\n\n", encoding="utf-8")
+    assert _comparable(read(path)) == _comparable(plain)
 
 
 def test_synth_lag1_correlation_follows_edges():

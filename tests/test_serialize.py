@@ -214,6 +214,18 @@ def test_speed_bin_rejects_corruption(tmp_path):
         S.load_speed_bin(path)
 
 
+@pytest.mark.parametrize("cell", [np.inf, -np.inf, -3.5])
+def test_speed_bin_rejects_bad_speeds(tmp_path, cell):
+    # the cells the speed CSV rejects; NaN stays the missing marker
+    v = np.full((4, 2), 50.0)
+    v[1, 0] = np.nan
+    v[2, 1] = cell
+    path = tmp_path / "speeds.bin"
+    S.save_speed_bin(path, SpeedSeries(v, 300, 0))
+    with pytest.raises(ConfigError, match=r"speeds\.bin: step 2 node 1: .*%s" % cell):
+        S.load_speed_bin(path)
+
+
 # -- graph cache -------------------------------------------------------------------
 
 
@@ -249,6 +261,18 @@ def test_graph_bin_checks_metadata(tmp_path, meta, match):
         records.insert(0, ("__meta__", json.dumps(meta).encode("utf-8")))
     S.write_container(path, S.MAGIC_GRAPH, records)
     with pytest.raises(ConfigError, match=match):
+        S.load_graph_bin(path)
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -0.5])
+def test_graph_bin_rejects_bad_weights(tmp_path, weight):
+    a = np.eye(2)
+    a[0, 1] = weight
+    path = tmp_path / "graph.bin"
+    S.write_container(path, S.MAGIC_GRAPH, [
+        ("__meta__", json.dumps({"format": 1, "n_nodes": 2}).encode("utf-8")),
+        ("adjacency", a)])
+    with pytest.raises(ConfigError, match=r"graph\.bin: adjacency weights"):
         S.load_graph_bin(path)
 
 
