@@ -385,16 +385,16 @@ def read_csv(path, header, convert) -> list:
         try:
             names = [h.strip() for h in next(reader, [])]
             header(names)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:  # reader.line_num: the line the row ends on
                 if not row:
                     continue
                 if len(row) != len(names):
                     raise ConfigError("%s:%d: expected %d fields, got %d"
-                                      % (path, lineno, len(names), len(row)))
+                                      % (path, reader.line_num, len(names), len(row)))
                 try:
                     rows.append(convert(row))
                 except ValueError as e:
-                    raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
+                    raise ConfigError("%s:%d: %s" % (path, reader.line_num, e)) from None
         except (ValueError, csv.Error) as e:  # header rule, UTF-8 decoder or csv module
             raise ConfigError("%s: %s" % (path, e)) from None
     return rows

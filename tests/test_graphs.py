@@ -151,3 +151,7 @@ def test_distance_csv_errors(tmp_path):
     p.write_text("from,to,distance\n0,1,1.5\n0,1,nan\n")
     with pytest.raises(ConfigError, match=r"bad\.csv:3: "):
         graphs.load_distance_csv(p)
+    # a quoted field may span lines; errors name the physical line
+    p.write_text('from,to,distance\n"0\n",1,1.5\n0,x,2.0\n')
+    with pytest.raises(ConfigError, match=r"bad\.csv:4: "):
+        graphs.load_distance_csv(p)
