@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 EXIT_OK = 0
@@ -68,7 +69,7 @@ def _write_manifest(out_dir, command, cfg, seed, inputs, outputs, started):
 
     doc = {
         "command": command,
-        "config": cfg.snapshot(),
+        "config": asdict(cfg),
         "seed": seed,
         "inputs": list(inputs),
         "outputs": [os.path.basename(p) for p in outputs],

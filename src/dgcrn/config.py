@@ -7,7 +7,7 @@ rejected by name.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .model import HyperParams
@@ -46,15 +46,6 @@ class AppConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-
-    def snapshot(self) -> dict:
-        """Nested plain-dict view for manifests and logs."""
-        return {
-            "model": asdict(self.model),
-            "train": asdict(self.train),
-            "data": asdict(self.data),
-            "eval": asdict(self.eval),
-        }
 
     def validate(self):
         # each range check is written so that NaN fails it

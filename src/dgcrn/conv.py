@@ -8,21 +8,23 @@ projected by per-hop weights and summed, out = sum_k H^(k) W_k.
 Aggregation runs along the node axis: out[b,n,:] = sum_m A[...,n,m] H[b,m,:].
 
 The recurrence is linear in X and the diffusion D(Y) = sum_j c_j A_j Y acts
-on the node axis only, so it commutes with the projections. `dgconv_forward`
-therefore evaluates the sum in Horner form,
+on the node axis only, so it commutes with the projections. A convolution
+with weights W and skip level alpha is therefore the same map as one with
+weights U and no skip term,
 
     out = X U_0 + D(X U_1 + D(X U_2 + ... + D(X U_K))),
     U_i = W_i + alpha * sum_{k>i} W_k,
 
-with each hop, X U_k plus all its diffusion terms, one tape node.
-`horner_weights` builds the U_i from the per-hop weights; `model.encode` and
-`model.decode` build them once per forward and every cell step reuses them,
-so a forward records them once, not P+Q times. The matmul
-count is that of the hop-by-hop form, (K+1) + K |supports|, but every N x N
+and `fold` returns that alpha-0 form. `dgconv_forward` folds its
+parameters and evaluates the sum in Horner form, each hop (X U_k plus all
+its diffusion terms) one tape node. Folding an alpha-0 convolution returns
+it unchanged, so `model.encode` and `model.decode` fold their cell once per
+forward and a forward records the U_i once, not P+Q times. The matmul count
+is that of the hop-by-hop form, (K+1) + K |supports|, but every N x N
 product multiplies a D_out-wide array (hidden in the gates, hyper_dim in
-the hyper-networks) instead of the D_in = 2 + hidden wide input. At the
-paper shape that is 64 or 16 columns instead of 66, and 66 falls off the
-BLAS kernel's 16-column blocking. The summation order differs from the
+the hyper-networks) instead of the D_in = 2 + hidden wide input: at the
+paper shape 64 or 16 columns instead of 66, which falls off the BLAS
+kernel's 16-column blocking. The summation order differs from the
 hop-by-hop form, so results agree with `oracles.khop_conv_ref` to rounding.
 
 `supports` builds the forward and backward lists once per cell step,
@@ -65,24 +67,25 @@ def supports(graph, dyn, beta_mix: float, gamma_mix: float, dtype):
     return fwd, bwd
 
 
-def horner_weights(p: ConvParams) -> list:
-    """[U_0, ..., U_K] with U_i = W_i + alpha * sum_{k>i} W_k, the W_i themselves
-    with alpha 0. Each tail is summed from W_K down."""
+def fold(p: ConvParams) -> ConvParams:
+    """The same convolution with alpha 0 and weights U_i = W_i + alpha *
+    sum_{k>i} W_k, each tail summed from W_K down; p itself when alpha is 0."""
     ws, alpha = p.hop_weights, p.alpha_mix
     if alpha == 0.0:
-        return list(ws)
+        return p
     us = [ws[-1]]
     tail = ws[-1]  # sum of the weights of the hops above k
     for k in range(len(ws) - 2, -1, -1):
         us.append(T.scaled_add(ws[k], [(alpha, tail)]))
         if k:
             tail = tail + ws[k]
-    return us[::-1]
+    return ConvParams(us[::-1], 0.0)
 
 
-def dgconv_forward(h_in, supports, us):
+def dgconv_forward(h_in, supports, p: ConvParams):
     """K-hop convolution of h_in (B x N x D_in) -> B x N x D_out, in Horner form
-    over the weights `horner_weights` built."""
+    over the weights of `fold(p)`."""
+    us = fold(p).hop_weights
     if not supports:
         return T.matmul(h_in, us[0])
     out = T.matmul(h_in, us[-1])
@@ -92,6 +95,6 @@ def dgconv_forward(h_in, supports, us):
     return out
 
 
-def dual_dgconv(h_in, fwd, bwd, us_fwd, us_bwd):
-    """Sum of forward- and backward-direction convolutions, independent weights each."""
-    return dgconv_forward(h_in, fwd, us_fwd) + dgconv_forward(h_in, bwd, us_bwd)
+def dual_dgconv(h_in, fwd, bwd, theta):
+    """Sum of both directions' convolutions over a gate's (fwd, bwd) ConvParams."""
+    return dgconv_forward(h_in, fwd, theta[0]) + dgconv_forward(h_in, bwd, theta[1])

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .conv import ConvParams, dgconv_forward, horner_weights
+from .conv import ConvParams, dgconv_forward
 from .tensor import Tensor
 
 
@@ -52,19 +52,10 @@ class GeneratorParams:
     filter_mode: str = "hadamard"      # hadamard | matmul | frozen
 
 
-def hyper_weights(params: GeneratorParams) -> tuple:
-    """(source, target) hyper-network convolutions in Horner form, None for
-    each that has no convolution (affine or frozen-filter mode)."""
-    def one(hn):
-        return None if hn is None or hn.conv is None else horner_weights(hn.conv)
-
-    return one(params.hyper_src), one(params.hyper_tgt)
-
-
-def hyper_forward(inp, static_fwd, params: HyperNetParams, us):
+def hyper_forward(inp, static_fwd, params: HyperNetParams):
     """Dynamic filter from the hyper-network: conv over the static forward
-    supports with its Horner weights us (None without a conv), then projection."""
-    h = inp if us is None else dgconv_forward(inp, static_fwd, us)
+    supports (when it has one), then projection."""
+    h = inp if params.conv is None else dgconv_forward(inp, static_fwd, params.conv)
     return T.matmul(h, params.proj_w) + params.proj_b
 
 
@@ -102,7 +93,7 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     D_e=40 it does not: the argument plus its transpose has entries a few
     ulps from zero, so a pair whose weight is within rounding of zero may
     keep both directions. Computing one product M and using M - M^T makes
-    the antisymmetry exact; it is ROADMAP item 4, and it changes the number
+    the antisymmetry exact; it is ROADMAP item 5, and it changes the number
     of matmuls per cell step.
     """
     m1 = T.matmul(de_src, de_tgt.mT)
@@ -115,12 +106,11 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     )
 
 
-def generate(inp, static_fwd, params: GeneratorParams, hyper_us) -> DynamicGraph:
+def generate(inp, static_fwd, params: GeneratorParams) -> DynamicGraph:
     """Full generator chain for one step: filters, modulation, adjacency.
 
     inp: B x N x D_in, with N the embedding tables' row count; static_fwd:
-    the static forward supports the hyper-network convolutions diffuse over;
-    hyper_us: their Horner weights, from `hyper_weights`.
+    the static forward supports the hyper-network convolutions diffuse over.
     """
     b, n = inp.shape[:2]
     if params.filter_mode == "frozen":
@@ -129,7 +119,7 @@ def generate(inp, static_fwd, params: GeneratorParams, hyper_us) -> DynamicGraph
         df = T.ones((b, n, d_e), dtype=params.emb_src.dtype)
         df_src = df_tgt = df
     else:
-        df_src = hyper_forward(inp, static_fwd, params.hyper_src, hyper_us[0])
-        df_tgt = hyper_forward(inp, static_fwd, params.hyper_tgt, hyper_us[1])
+        df_src = hyper_forward(inp, static_fwd, params.hyper_src)
+        df_tgt = hyper_forward(inp, static_fwd, params.hyper_tgt)
     de1, de2 = dynamic_embeddings(df_src, df_tgt, params)
     return dynamic_adjacency(de1, de2, params.alpha_sat)

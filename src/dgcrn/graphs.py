@@ -97,15 +97,14 @@ def _distance_row(row):
     return src, dst, dist
 
 
-def load_distance_csv(path, n_nodes: int | None = None) -> np.ndarray:
-    """Read `from,to,distance` rows into a dense matrix, inf for absent pairs."""
+def load_distance_csv(path) -> np.ndarray:
+    """Read `from,to,distance` rows into a dense matrix, inf for absent pairs;
+    the node count is one more than the largest id."""
     entries = read_csv(path, exact_header(_CSV_HEADER), _distance_row)
     max_id = max((max(src, dst) for src, dst, _ in entries), default=-1)
-    if max_id < 0 and n_nodes is None:
+    if max_id < 0:
         raise DegenerateInputError("%s: no edges" % path)
-    n = n_nodes if n_nodes is not None else max_id + 1
-    if max_id >= n:
-        raise ConfigError("%s: node id %d exceeds n_nodes=%d" % (path, max_id, n))
+    n = max_id + 1
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     for src, dst, dist in entries:

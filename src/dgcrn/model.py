@@ -8,14 +8,14 @@ its own prediction or the label (scheduled sampling).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .conv import ConvParams, dual_dgconv, horner_weights, supports
+from .conv import ConvParams, dual_dgconv, fold, supports
 from .errors import ConfigError, DimensionError
-from .generator import GeneratorParams, HyperNetParams, generate, hyper_weights
+from .generator import GeneratorParams, HyperNetParams, generate
 from .tensor import Tensor
 
 INPUT_WIDTH = 2  # speed plus time-of-day, both encoder and decoder
@@ -72,21 +72,6 @@ class CellParams:
     theta_h: tuple
     beta_mix: float                   # dynamic-graph diffusion term
     gamma_mix: float                  # static-graph diffusion term
-
-
-@dataclass
-class CellWeights:
-    """A cell's convolutions in Horner form (`conv.horner_weights`).
-
-    `encode` and `decode` each build their cell's once per forward, so every
-    cell step reuses the same U_i. Each gate holds a (forward, backward) pair
-    of U lists; `hyper` is the generator's pair from `hyper_weights`.
-    """
-
-    z: tuple
-    r: tuple
-    h: tuple
-    hyper: tuple
 
 
 @dataclass
@@ -247,19 +232,25 @@ def zero_grads(params: ModelParams):
 # -- forward passes ---------------------------------------------------------------
 
 
-def cell_weights(cell: CellParams) -> CellWeights:
-    """Every convolution of the cell in Horner form."""
+def _fold_cell(cell: CellParams) -> CellParams:
+    """The cell with every convolution folded (`conv.fold`), so that each cell
+    step of a forward reuses the same U_i instead of building its own."""
     def gate(theta):
-        return tuple(horner_weights(p) for p in theta)
+        return tuple(fold(p) for p in theta)
 
-    hyper = (None, None) if cell.gen is None else hyper_weights(cell.gen)
-    return CellWeights(gate(cell.theta_z), gate(cell.theta_r), gate(cell.theta_h), hyper)
+    def hyper(hn):
+        return hn if hn is None or hn.conv is None else replace(hn, conv=fold(hn.conv))
+
+    folded = replace(cell, theta_z=gate(cell.theta_z), theta_r=gate(cell.theta_r),
+                     theta_h=gate(cell.theta_h))
+    if cell.gen is not None:
+        folded.gen = replace(cell.gen, hyper_src=hyper(cell.gen.hyper_src),
+                             hyper_tgt=hyper(cell.gen.hyper_tgt))
+    return folded
 
 
-def cell_step(x_t, h_prev, graph, cell: CellParams, us: CellWeights,
-              step_label: str = "step"):
-    """One recurrent update. x_t: B x N x 2, h_prev: B x N x h; us: the cell's
-    Horner weights, from `cell_weights`.
+def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
+    """One recurrent update. x_t: B x N x 2, h_prev: B x N x h.
 
     Returns the new hidden state and the dynamic graph used (None when the
     cell has no generator). The shapes are those `encode` and `decode`
@@ -269,12 +260,12 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, us: CellWeights,
     xh = T.concat([x_t, h_prev], axis=-1)
     # the hyper-networks diffuse over the static forward graph only
     static_fwd, _ = supports(graph, None, cell.beta_mix, cell.gamma_mix, xh.dtype)
-    dyn = None if cell.gen is None else generate(xh, static_fwd, cell.gen, us.hyper)
+    dyn = None if cell.gen is None else generate(xh, static_fwd, cell.gen)
     fwd, bwd = supports(graph, dyn, cell.beta_mix, cell.gamma_mix, xh.dtype)
-    z = T.sigmoid(dual_dgconv(xh, fwd, bwd, *us.z))
-    r = T.sigmoid(dual_dgconv(xh, fwd, bwd, *us.r))
+    z = T.sigmoid(dual_dgconv(xh, fwd, bwd, cell.theta_z))
+    r = T.sigmoid(dual_dgconv(xh, fwd, bwd, cell.theta_r))
     xrh = T.concat([x_t, r * h_prev], axis=-1)
-    h_cand = T.tanh(dual_dgconv(xrh, fwd, bwd, *us.h))
+    h_cand = T.tanh(dual_dgconv(xrh, fwd, bwd, cell.theta_h))
     h_t = T.gru_update(z, h_prev, h_cand)
     T.assert_finite(h_t, "%s: hidden state" % step_label)
     return h_t, dyn
@@ -296,11 +287,10 @@ def encode(x_seq, graph, params: ModelParams):
         )
     b, p_len = x_seq.shape[:2]
     h = T.zeros((b, n, params.hp.hidden), dtype=x_seq.dtype)
-    us = cell_weights(params.encoder)
+    cell = _fold_cell(params.encoder)
     for p in range(p_len):
         # the input is a constant: a view of step p needs no tape node
-        h, _ = cell_step(T.Tensor(x_seq.data[:, p]), h, graph, params.encoder, us,
-                         "encoder step %d" % p)
+        h, _ = cell_step(T.Tensor(x_seq.data[:, p]), h, graph, cell, "encoder step %d" % p)
     return h
 
 
@@ -329,11 +319,11 @@ def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
     horizon = q_len if horizon is None else horizon
     h = h_init
     prev_speed = T.zeros((b, n, 1), dtype=h_init.dtype)
-    us = cell_weights(params.decoder)
+    cell = _fold_cell(params.decoder)
     preds = []
     for q in range(horizon):
         x_t = T.concat([prev_speed, T.Tensor(time_seq.data[:, q])], axis=-1)
-        h, _ = cell_step(x_t, h, graph, params.decoder, us, "decoder step %d" % q)
+        h, _ = cell_step(x_t, h, graph, cell, "decoder step %d" % q)
         pred = readout(h, params)
         preds.append(pred)
         if q + 1 < horizon:

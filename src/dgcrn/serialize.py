@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import coerce, read_section
 from .data import NormStats, SpeedSeries
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DegenerateInputError, DimensionError
 from .graphs import StaticGraph
 from .model import HyperParams, ModelParams, init_model, named_parameters
 
@@ -223,7 +223,10 @@ def load_speed_bin(path) -> SpeedSeries:
         step, node = bad[0]
         raise ConfigError("%s: step %d node %d: speed must be finite and >= 0; got %r"
                           % (path, step, node, float(values[step, node])))
-    return SpeedSeries(values, dt, start)
+    try:
+        return SpeedSeries(values, dt, start)
+    except (ConfigError, DimensionError) as e:  # no nodes or steps, or a zero clock step
+        raise ConfigError("%s: %s" % (path, e)) from None
 
 
 # -- graph cache -------------------------------------------------------------------
@@ -249,7 +252,10 @@ def load_graph_bin(path) -> StaticGraph:
     # written so that a NaN weight fails it
     if not np.all((named["adjacency"] >= 0.0) & (named["adjacency"] < np.inf)):
         raise ConfigError("%s: adjacency weights must be finite and >= 0" % path)
-    graph = StaticGraph(named["adjacency"])
+    try:
+        graph = StaticGraph(named["adjacency"])
+    except (DegenerateInputError, DimensionError) as e:  # not square, or a zero row
+        raise ConfigError("%s: %s" % (path, e)) from None
     if meta.get("n_nodes") != graph.n_nodes:
         raise ConfigError("%s: metadata says %r nodes but the adjacency has %d"
                           % (path, meta.get("n_nodes"), graph.n_nodes))

@@ -23,7 +23,7 @@ from dgcrn import training as TR
 from dgcrn.cli import main, run_gradcheck
 from dgcrn.config import apply_ablation, default_config
 from dgcrn.conv import supports
-from dgcrn.generator import GeneratorParams, generate, hyper_weights
+from dgcrn.generator import GeneratorParams, generate
 from dgcrn.model import HyperParams
 from dgcrn.tensor import Tensor
 
@@ -45,7 +45,6 @@ def test_02_dynamic_graph_invariants():
     graph = G.build_adjacency(D.synth_distances(n, seed=2), kappa=0.1)
     gen = M.init_model(hp, n, seed=2, dtype=np.float64).encoder.gen
     static_fwd, _ = supports(graph, None, hp.beta_mix, hp.gamma_mix, np.float64)
-    hyper_us = hyper_weights(gen)
     rng = np.random.default_rng(2)
     batch = 50
     checked = 0
@@ -56,8 +55,7 @@ def test_02_dynamic_graph_invariants():
             speed = Tensor(scale * rng.normal(size=(batch, n, 1)))
             tod = Tensor(rng.uniform(0.0, 1.0, (batch, n, 1)))
             hidden = Tensor(scale * rng.normal(size=(batch, n, hp.hidden)))
-            dyn = generate(T.concat([speed, tod, hidden], axis=-1), static_fwd, gen,
-                           hyper_us)
+            dyn = generate(T.concat([speed, tod, hidden], axis=-1), static_fwd, gen)
             raw = dyn.raw.data
             assert np.all(np.diagonal(raw, axis1=1, axis2=2) == 0.0)
             assert np.all(raw * raw.transpose(0, 2, 1) == 0.0)
@@ -111,8 +109,7 @@ def test_04_frozen_filters_collapse_to_static_graph():
                 alpha_sat=alpha, filter_mode="frozen",
             )
             inp = Tensor(rng.normal(size=(b, n, 4)))
-            dyn = generate(inp, supports(graphs[n], None, 0.95, 0.95, np.float64)[0],
-                           params, hyper_weights(params))
+            dyn = generate(inp, supports(graphs[n], None, 0.95, 0.95, np.float64)[0], params)
             ref = static_adaptive_ref(e1, e2, alpha)
             assert dyn.raw.data.dtype == ref.dtype
             for i in range(b):

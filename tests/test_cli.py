@@ -333,12 +333,35 @@ def _forge_graph(path):
     return path / "graph.bin"
 
 
-@pytest.mark.parametrize("forge, key", [
-    (_forge_record_name, None),
-    (_forge_speeds, "speeds"),
-    (_forge_graph, "distances"),
-], ids=["ckpt-record-name", "speeds-bin-inf", "graph-bin-nan"])
-def test_forged_binary_is_one_error_line(workdir, tmp_path, capsys, forge, key):
+def _forge_graph_record(adjacency):
+    def forge(path):
+        meta = json.dumps({"format": 1, "n_nodes": len(adjacency)}).encode("utf-8")
+        S.write_container(path / "graph.bin", S.MAGIC_GRAPH,
+                          [("__meta__", meta), ("adjacency", adjacency)])
+        return path / "graph.bin"
+    return forge
+
+
+def _forge_speed_header(n_nodes, dt):
+    def forge(path):
+        header = struct.pack("<IIIq", n_nodes, 5, dt, 0)
+        values = np.full((5, n_nodes), 50.0, dtype="<f4").tobytes()
+        (path / "speeds.bin").write_bytes(S.MAGIC_SPEED + header + values)
+        return path / "speeds.bin"
+    return forge
+
+
+@pytest.mark.parametrize("forge, key, match", [
+    (_forge_record_name, None, "is not UTF-8"),
+    (_forge_speeds, "speeds", "speed must be finite"),
+    (_forge_graph, "distances", "must be finite and >= 0"),
+    (_forge_graph_record(np.zeros((6, 6))), "distances", "row 0 has non-positive sum"),
+    (_forge_graph_record(np.ones((2, 3))), "distances", r"must be square; got shape \(2, 3\)"),
+    (_forge_speed_header(0, 300), "speeds", r"T,N >= 1; got \(5, 0\)"),
+    (_forge_speed_header(6, 0), "speeds", "dt_seconds must be positive; got 0"),
+], ids=["ckpt-record-name", "speeds-bin-inf", "graph-bin-nan", "graph-bin-zero-row",
+        "graph-bin-not-square", "speeds-bin-no-nodes", "speeds-bin-zero-dt"])
+def test_forged_binary_is_one_error_line(workdir, tmp_path, capsys, forge, key, match):
     forged = forge(tmp_path)
     if key is None:
         argv = ["eval", str(forged), "--config", workdir["cfg"]]
@@ -352,6 +375,7 @@ def test_forged_binary_is_one_error_line(workdir, tmp_path, capsys, forge, key):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: %s: " % forged), err
+    assert re.search(match, err[0]), err
 
 
 def test_load_series_zero_as_missing(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from dgcrn.config import (
@@ -18,7 +20,7 @@ def write(tmp_path, text):
 
 def test_defaults_round_trip():
     cfg = default_config()
-    snap = cfg.snapshot()
+    snap = asdict(cfg)
     assert snap["model"]["hidden"] == 64
     assert snap["train"]["learning_rate"] == 0.001
     assert snap["data"]["split"] == "ratio"
@@ -28,7 +30,7 @@ def test_defaults_round_trip():
 
 def test_load_missing_path_uses_defaults():
     cfg = load_config(None)
-    assert cfg.snapshot() == default_config().snapshot()
+    assert asdict(cfg) == asdict(default_config())
 
 
 def test_load_overrides(tmp_path):
@@ -65,7 +67,7 @@ eval:
 
 def test_empty_file_is_defaults(tmp_path):
     cfg = load_config(write(tmp_path, ""))
-    assert cfg.snapshot() == default_config().snapshot()
+    assert asdict(cfg) == asdict(default_config())
 
 
 def test_empty_section_allowed(tmp_path):

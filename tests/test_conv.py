@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dgcrn import tensor as T
-from dgcrn.conv import ConvParams, dgconv_forward, dual_dgconv, horner_weights, supports
+from dgcrn.conv import ConvParams, dgconv_forward, dual_dgconv, fold, supports
 from dgcrn.errors import DimensionError
 from dgcrn.generator import dynamic_adjacency
 from dgcrn.graphs import StaticGraph
@@ -35,7 +35,7 @@ def test_hand_example_two_nodes():
     p = ConvParams(w, alpha_mix=1.0)
     h = T.Tensor([[[1.0], [2.0]]])
     fwd, _ = supports(g, None, 0.0, 1.0, h.dtype)
-    out = dgconv_forward(h, fwd, horner_weights(p))
+    out = dgconv_forward(h, fwd, p)
     assert np.allclose(out.data, [[[3.5], [5.5]]], atol=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_zero_hops_ignores_graphs():
     h = T.Tensor(rng.normal(size=(2, 3, 2)))
     dyn, _, _ = _random_dyn(rng, 2, 3)
     fwd, _ = supports(g, dyn, 0.95, 0.95, h.dtype)
-    out = dgconv_forward(h, fwd, horner_weights(p))
+    out = dgconv_forward(h, fwd, p)
     assert np.allclose(out.data, h.data @ p.hop_weights[0].data, atol=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_identity_propagation_with_empty_dynamic_graph():
     p = ConvParams(w, alpha_mix=0.0)
     h = T.Tensor(rng.normal(size=(2, 3, 4)))
     fwd, _ = supports(g, dyn, 1.0, 0.0, h.dtype)
-    out = dgconv_forward(h, fwd, horner_weights(p))
+    out = dgconv_forward(h, fwd, p)
     assert np.allclose(out.data, (k + 1) * h.data, atol=1e-12)
 
 
@@ -73,27 +73,64 @@ def test_pure_skip_sums_weights():
     h = T.Tensor(rng.normal(size=(1, 4, 3)))
     fwd, _ = supports(g, None, 0.0, 0.0, h.dtype)
     assert fwd == []
-    out = dgconv_forward(h, fwd, horner_weights(p))
+    out = dgconv_forward(h, fwd, p)
     wsum = sum(w.data for w in p.hop_weights)
     assert np.allclose(out.data, h.data @ wsum, atol=1e-12)
 
 
+def _tape_nodes(root):
+    """Interior tape nodes reachable from root."""
+    seen, stack, nodes = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes += t._backward is not None
+            stack.extend(t._parents)
+    return nodes
+
+
 @pytest.mark.parametrize("k", range(4))
-def test_horner_weights(k):
-    # U_i = W_i + alpha * (W_K + ... + W_{i+1}), the tail summed from W_K down;
-    # U_K is W_K itself, and with alpha 0 every U_i is its W_i
+def test_fold(k):
+    # fold(p) has alpha 0 and U_i = W_i + alpha * (W_K + ... + W_{i+1}), the
+    # tail summed from W_K down; U_K is W_K itself
     rng = np.random.default_rng(11)
     p = _params(rng, 3, 2, k, 0.05)
     ws = [w.data for w in p.hop_weights]
-    us = horner_weights(p)
+    q = fold(p)
+    us = q.hop_weights
+    assert q.alpha_mix == 0.0
     assert len(us) == k + 1 and us[k] is p.hop_weights[k]
     for i in range(k):
         tail = ws[k]
         for w in ws[k - 1:i:-1]:
             tail = tail + w
         assert us[i].data.tobytes() == (ws[i] + tail * 0.05).tobytes()
-    assert all(u is w for u, w in zip(horner_weights(ConvParams(p.hop_weights, 0.0)),
-                                       p.hop_weights))
+    # an alpha-0 convolution is already folded: fold returns it as it is
+    p0 = ConvParams(p.hop_weights, 0.0)
+    assert fold(p0) is p0 and fold(q) is q
+    # p, fold(p) and fold(fold(p)) convolve bitwise alike, output and every
+    # gradient, with the same tape, with and without supports
+    g = StaticGraph(rng.uniform(0.05, 1.0, (4, 4)))
+    h = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    # constant embeddings: backward frees the tape, so the graph must not be on it
+    dyn = dynamic_adjacency(*(T.Tensor(rng.normal(size=(2, 4, 3))) for _ in range(2)), 2.0)
+    probe = T.Tensor(rng.normal(size=(2, 4, 2)))
+    leaves = [h] + p.hop_weights
+    for alpha in (0.0, 0.05):
+        for sup in (supports(g, dyn, 0.95, 0.95, h.dtype)[0], []):
+            runs = []
+            for conv in (lambda c: c, fold, lambda c: fold(fold(c))):
+                out = dgconv_forward(h, sup, conv(ConvParams(p.hop_weights, alpha)))
+                loss = (out * probe).sum()
+                nodes = _tape_nodes(loss)
+                for leaf in leaves:
+                    leaf.zero_grad()
+                loss.backward()
+                # with no supports and alpha 0 only W_0 gets a gradient
+                runs.append((out.data.tobytes(), nodes,
+                             [None if t.grad is None else t.grad.tobytes() for t in leaves]))
+            assert runs[0] == runs[1] == runs[2], (alpha, len(sup))
 
 
 def test_aggregation_preserves_value_bounds():
@@ -145,7 +182,7 @@ def test_matches_reference_evaluator(seed, subset):
         stat_f, stat_b = g.norm_pair(dtype)
         for sup, stat, dyn_norm in ((fwd, stat_f, dyn.normalized),
                                     (bwd, stat_b, dyn.normalized_bwd)):
-            out = dgconv_forward(h, sup, horner_weights(ConvParams(ws, alpha)))
+            out = dgconv_forward(h, sup, ConvParams(ws, alpha))
             assert out.dtype == dtype
             h64, stat64, dyn64, *ws64 = (t.data.astype(np.float64)
                                          for t in (h, stat, dyn_norm, *ws))
@@ -182,14 +219,14 @@ def test_dual_is_sum_of_directions():
     h = T.Tensor(rng.normal(size=(b, n, d_in)))
     dyn, _, _ = _random_dyn(rng, b, n)
     fwd, bwd = supports(g, dyn, 0.95, 0.95, h.dtype)
-    out = dual_dgconv(h, fwd, bwd, horner_weights(pf), horner_weights(pb))
-    out_f = dgconv_forward(h, fwd, horner_weights(pf))
-    out_b = dgconv_forward(h, bwd, horner_weights(pb))
+    out = dual_dgconv(h, fwd, bwd, (pf, pb))
+    out_f = dgconv_forward(h, fwd, pf)
+    out_b = dgconv_forward(h, bwd, pb)
     assert np.allclose(out.data, out_f.data + out_b.data, atol=1e-12)
     # zero weights in both directions collapse to zero output
     zf = ConvParams([T.zeros((d_in, d_out)) for _ in range(3)], 0.05)
     zb = ConvParams([T.zeros((d_in, d_out)) for _ in range(3)], 0.05)
-    assert not np.any(dual_dgconv(h, fwd, bwd, horner_weights(zf), horner_weights(zb)).data)
+    assert not np.any(dual_dgconv(h, fwd, bwd, (zf, zb)).data)
 
 
 def test_symmetric_graph_directions_coincide():
@@ -202,9 +239,8 @@ def test_symmetric_graph_directions_coincide():
     p = _params(rng, 2, 2, 1, 0.05)
     x = T.Tensor(rng.normal(size=(1, n, 2)))
     fwd, bwd = supports(g, dyn, 0.95, 0.95, x.dtype)
-    us = horner_weights(p)
     assert np.allclose(
-        dgconv_forward(x, fwd, us).data, dgconv_forward(x, bwd, us).data, atol=1e-12,
+        dgconv_forward(x, fwd, p).data, dgconv_forward(x, bwd, p).data, atol=1e-12,
     )
 
 
@@ -223,7 +259,7 @@ def test_gradients_match_fd(seed):
     def build():
         dyn = dynamic_adjacency(de1, de2, 2.0)
         fwd, bwd = supports(g, dyn, 0.5, 0.4, h.dtype)
-        return (dual_dgconv(h, fwd, bwd, horner_weights(pf), horner_weights(pb)) * probe).sum()
+        return (dual_dgconv(h, fwd, bwd, (pf, pb)) * probe).sum()
 
     leaves = [h, de1, de2, pf.hop_weights[0], pf.hop_weights[2], pb.hop_weights[1]]
     loss = build()
@@ -245,7 +281,7 @@ def test_dgconv_forward_gradients_match_fd(k, alpha):
     probe = T.Tensor(rng.normal(size=(b, n, d_out)))
 
     def build():
-        return (dgconv_forward(h, [(0.6, dyn), (0.4, stat)], horner_weights(p)) * probe).sum()
+        return (dgconv_forward(h, [(0.6, dyn), (0.4, stat)], p) * probe).sum()
 
     build().backward()
     for leaf in [h, dyn] + p.hop_weights:
@@ -263,4 +299,4 @@ def test_conv_errors():
     for beta, gamma in ((0.0, 1.0), (1.0, 0.0)):
         fwd, _ = supports(g, dyn, beta, gamma, h4.dtype)
         with pytest.raises(DimensionError):
-            dgconv_forward(h4, fwd, horner_weights(p))
+            dgconv_forward(h4, fwd, p)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgcrn import tensor as T
-from dgcrn.conv import ConvParams, horner_weights, supports
+from dgcrn.conv import ConvParams, supports
 from dgcrn.generator import (
     DynamicGraph,
     GeneratorParams,
@@ -13,7 +13,6 @@ from dgcrn.generator import (
     dynamic_embeddings,
     generate,
     hyper_forward,
-    hyper_weights,
 )
 from dgcrn.graphs import StaticGraph
 
@@ -57,7 +56,7 @@ def test_hyper_zero_params_gives_zero_filter():
     g = StaticGraph(np.ones((2, 2)))
     conv = ConvParams([T.zeros((3, 2)), T.zeros((3, 2))], 0.05)
     hp = HyperNetParams(conv, T.zeros((2, 4)), T.zeros(4))
-    out = hyper_forward(T.ones((1, 2, 3)), _static(g), hp, horner_weights(conv))
+    out = hyper_forward(T.ones((1, 2, 3)), _static(g), hp)
     assert not np.any(out.data)
 
 
@@ -67,7 +66,7 @@ def test_hyper_hand_example_and_reference():
     conv = ConvParams([T.ones((1, 1)), T.ones((1, 1))], 1.0)
     hp = HyperNetParams(conv, T.ones((1, 1)), T.zeros(1))
     inp = T.Tensor([[[1.0], [3.0]]])
-    out = hyper_forward(inp, _static(g, gamma=1.0), hp, horner_weights(conv))
+    out = hyper_forward(inp, _static(g, gamma=1.0), hp)
     # hop0 = [1,3]; hop1 = input + avg = [3,5]; sum = [4,8]; projection is identity
     assert np.allclose(out.data, [[[4.0], [8.0]]], atol=1e-12)
     ref = khop_conv_ref(inp.data, g.forward_norm, None, [np.ones((1, 1))] * 2, 1.0, 0.0, 1.0)
@@ -79,7 +78,7 @@ def test_hyper_affine_mode():
     w = np.array([[1.0, 0.0], [0.0, 2.0]])
     hp = HyperNetParams(None, T.Tensor(w), T.Tensor([0.5, -0.5]))
     inp = T.Tensor(np.ones((1, 3, 2)))
-    out = hyper_forward(inp, _static(g), hp, None)
+    out = hyper_forward(inp, _static(g), hp)
     assert np.allclose(out.data, np.ones((1, 3, 2)) @ w + [0.5, -0.5], atol=1e-12)
 
 
@@ -182,8 +181,8 @@ def test_generate_deterministic_and_counts():
     g = _graph(rng, n)
     p = _gen_params(rng, n, 2, 2 + h, 2)
     inp = T.Tensor(rng.normal(size=(2, n, 2 + h)))
-    d1 = generate(inp, _static(g), p, hyper_weights(p))
-    d2 = generate(inp, _static(g), p, hyper_weights(p))
+    d1 = generate(inp, _static(g), p)
+    d2 = generate(inp, _static(g), p)
     assert np.array_equal(d1.raw.data, d2.raw.data)
     assert d1.raw.shape == (2, n, n)
 
@@ -194,7 +193,7 @@ def test_frozen_filters_bitwise_equal_static_adaptive():
     g = _graph(rng, n)
     p = _gen_params(rng, n, d_e, 6, 2, mode="frozen", alpha_sat=3.0)
     inp = T.Tensor(rng.normal(size=(b, n, 6)))
-    dyn = generate(inp, _static(g), p, hyper_weights(p))
+    dyn = generate(inp, _static(g), p)
     expect = static_adaptive_ref(p.emb_src.data, p.emb_tgt.data, 3.0)
     for i in range(b):
         assert np.array_equal(dyn.raw.data[i], expect)
@@ -213,7 +212,7 @@ def test_identity_filter_via_zero_conv_and_unit_bias():
         hp.proj_w.data[:] = 0.0
         hp.proj_b.data[:] = 1.0
     inp = T.Tensor(rng.normal(size=(2, n, 2 + h)))
-    dyn = generate(inp, _static(g), p, hyper_weights(p))
+    dyn = generate(inp, _static(g), p)
     expect = static_adaptive_ref(p.emb_src.data, p.emb_tgt.data, 2.0)
     for i in range(2):
         assert np.array_equal(dyn.raw.data[i], expect)
@@ -229,7 +228,7 @@ def test_generate_end_to_end_gradients(mode):
     probe = T.Tensor(rng.normal(size=(b, n, n)))
 
     def build():
-        dyn = generate(inp, _static(g), p, hyper_weights(p))
+        dyn = generate(inp, _static(g), p)
         return (dyn.normalized * probe).sum() + dyn.normalized_bwd.sum() * 0.25
 
     leaves = [p.emb_src, p.emb_tgt, inp,

@@ -132,7 +132,7 @@ def test_distance_csv_round_trip(tmp_path):
     d[1, 3] = np.inf  # unreachable pair stays absent in the file
     path = tmp_path / "dist.csv"
     graphs.write_distance_csv(path, d)
-    back = graphs.load_distance_csv(path, n_nodes=5)
+    back = graphs.load_distance_csv(path)
     assert np.array_equal(back, d)
 
 
@@ -141,9 +141,6 @@ def test_distance_csv_errors(tmp_path):
     p.write_text("a,b,c\n")
     with pytest.raises(ConfigError):
         graphs.load_distance_csv(p)
-    p.write_text("from,to,distance\n0,7,1.5\n")
-    with pytest.raises(ConfigError):
-        graphs.load_distance_csv(p, n_nodes=3)
     p.write_text("from,to,distance\n0,1,oops\n")
     with pytest.raises(ConfigError):
         graphs.load_distance_csv(p)

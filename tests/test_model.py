@@ -38,7 +38,7 @@ def test_zero_parameters_halve_hidden_state():
     _zero_all(params)
     h_prev = T.Tensor(rng.normal(size=(2, 3, 4)))
     x_t = T.Tensor(rng.normal(size=(2, 3, 2)))
-    h_t, dyn = M.cell_step(x_t, h_prev, g, params.encoder, M.cell_weights(params.encoder))
+    h_t, dyn = M.cell_step(x_t, h_prev, g, params.encoder)
     # z = r = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0
     assert np.allclose(h_t.data, 0.5 * h_prev.data, atol=1e-15)
     assert dyn is not None
@@ -49,10 +49,9 @@ def test_hidden_state_stays_bounded():
     g = _graph(rng, 4)
     params = M.init_model(_tiny_hp(), 4, seed=1, dtype=np.float64)
     h = T.zeros((2, 4, 4))
-    us = M.cell_weights(params.encoder)
     for step in range(6):
         x_t = T.Tensor(rng.normal(size=(2, 4, 2)))
-        h, _ = M.cell_step(x_t, h, g, params.encoder, us)
+        h, _ = M.cell_step(x_t, h, g, params.encoder)
         assert np.all(np.abs(h.data) < 1.0)
 
 
@@ -79,7 +78,6 @@ def test_encode_base_case_and_zero_params():
     h_final = M.encode(x1, g, params)
     step, _ = M.cell_step(
         T.Tensor(x1.data[:, 0]), T.zeros((2, 3, 4), dtype=np.float64), g, params.encoder,
-        M.cell_weights(params.encoder),
     )
     assert np.array_equal(h_final.data, step.data)
     # shape independent of P
@@ -118,12 +116,12 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
     assert calls["n"] == 3 + 2
 
 
-# T.matmul and T.scaled_add calls in building a cell's Horner weights and
-# running one cell step, at hops = hyper_hops = 2. A mixing coefficient of
-# exactly 0 adds no term: beta 0 drops the generator and the dynamic
-# diffusions, gamma 0 the static ones (the hyper-networks then diffuse
-# nothing and make only X U_0), and alpha 0 the skip term, so U_k is W_k
-# itself. Each convolution makes one scaled_add per hop that diffuses,
+# T.matmul and T.scaled_add calls in one cell step of an unfolded cell, whose
+# convolutions each fold their own weights, at hops = hyper_hops = 2. A
+# mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
+# and the dynamic diffusions, gamma 0 the static ones (the hyper-networks
+# then diffuse nothing and make only X U_0), and alpha 0 the skip term, so
+# U_k is W_k itself. Each convolution makes one scaled_add per hop that diffuses,
 # summing the hop's projection and its diffusions as one node, plus K to
 # build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network
 # (2 with gamma 0, where a hyper-network's U list is built but only U_0 used).
@@ -154,7 +152,7 @@ def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_a
     for name in calls:
         monkeypatch.setattr(T, name, counting(name))
     M.cell_step(T.Tensor(rng.normal(size=(2, 4, 2))), T.Tensor(rng.normal(size=(2, 4, 4))),
-                g, params.encoder, M.cell_weights(params.encoder))
+                g, params.encoder)
     assert calls == {"matmul": matmuls, "scaled_add": scaled_adds}
 
 
@@ -204,7 +202,7 @@ def test_graph_products_multiply_output_width(monkeypatch):
 
     monkeypatch.setattr(T, "matmul", recording)
     M.cell_step(T.Tensor(rng.normal(size=(2, n, 2))), T.Tensor(rng.normal(size=(2, n, 5))),
-                _graph(rng, n), params.encoder, M.cell_weights(params.encoder))
+                _graph(rng, n), params.encoder)
     # 6 gate convolutions x 2 hops x 2 graphs, 2 hyper-networks x 2 hops x 1
     assert sorted(widths) == [3] * 4 + [5] * 24
 

@@ -267,9 +267,10 @@ def test_predict_frees_encoder_states_before_decoding(monkeypatch):
     states = []
     real_step, real_decode = M.cell_step, TR.decode
 
-    def recording_step(x_t, h, g, cell, us, where="step"):
-        h_new, dyn = real_step(x_t, h, g, cell, us, where)
-        if cell is params.encoder:
+    # encode steps a folded copy of params.encoder, so match steps by label
+    def recording_step(x_t, h, g, cell, where="step"):
+        h_new, dyn = real_step(x_t, h, g, cell, where)
+        if where.startswith("encoder"):
             states.append(weakref.ref(h_new.data))
         return h_new, dyn
 
