@@ -252,9 +252,11 @@ def _fold_cell(cell: CellParams) -> CellParams:
 def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     """One recurrent update. x_t: B x N x 2, h_prev: B x N x h.
 
-    Returns the new hidden state and the dynamic graph used (None when the
-    cell has no generator). The shapes are those `encode` and `decode`
-    checked when the batch entered the model.
+    Returns the new hidden state and, for diagnostics, the dynamic graph
+    used (None when the cell has no generator); `encode` and `decode` drop
+    the graph at once, so that under `no_grad` a step's three B x N x N
+    arrays are freed before the next step builds its own. The shapes are
+    those `encode` and `decode` checked when the batch entered the model.
     """
     # [speed, time-of-day, hidden]: the generator and the z/r gates read it
     xh = T.concat([x_t, h_prev], axis=-1)
@@ -290,7 +292,7 @@ def encode(x_seq, graph, params: ModelParams):
     cell = _fold_cell(params.encoder)
     for p in range(p_len):
         # the input is a constant: a view of step p needs no tape node
-        h, _ = cell_step(T.Tensor(x_seq.data[:, p]), h, graph, cell, "encoder step %d" % p)
+        h = cell_step(T.Tensor(x_seq.data[:, p]), h, graph, cell, "encoder step %d" % p)[0]
     return h
 
 
@@ -323,7 +325,7 @@ def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
     preds = []
     for q in range(horizon):
         x_t = T.concat([prev_speed, T.Tensor(time_seq.data[:, q])], axis=-1)
-        h, _ = cell_step(x_t, h, graph, cell, "decoder step %d" % q)
+        h = cell_step(x_t, h, graph, cell, "decoder step %d" % q)[0]
         pred = readout(h, params)
         preds.append(pred)
         if q + 1 < horizon:

@@ -288,9 +288,15 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    # exp(-|x|) never overflows, so both branches are stable
-    z = np.exp(-np.abs(t.data))
-    data = np.where(t.data >= 0, 1.0, z) / (1.0 + z)
+    # with z = exp(-|x|), 1 / (1 + z) for x >= 0 and z / (1 + z) below, both
+    # as exp(min(x, 0)) / (1 + z): no exp overflows. Evaluated in place on the
+    # two arrays it allocates
+    z = np.abs(t.data)
+    z = np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    data = np.minimum(t.data, 0)
+    data = np.exp(data, out=data)
+    data /= z
     return _from_op(data, (t,), (lambda g: g * data * (1.0 - data),))
 
 
@@ -305,7 +311,9 @@ def absolute(t: Tensor) -> Tensor:
 # every cell step. The forward evaluates the chain's numpy operations in the
 # chain's order and the rules multiply its derivatives in the same order, so
 # values and gradients are bit-identical to one node per operation, while
-# the tape keeps only what the rules read, not every intermediate.
+# the tape keeps only what the rules read, not every intermediate. An op
+# (these and `sigmoid`) may work in place, but only on arrays it allocated
+# itself, never on an input or an output gradient.
 
 
 def scaled_add(a: Tensor, terms) -> Tensor:
@@ -314,7 +322,12 @@ def scaled_add(a: Tensor, terms) -> Tensor:
     data, parents, rules = a.data, [a], [_identity]
     for c, b in terms:
         c = np.asarray(c, dtype=b.data.dtype)
-        data = data + b.data * c
+        prod = b.data * c
+        if data.shape == prod.shape and data.dtype == prod.dtype:
+            # the sum lives in the first term's product, never in an input
+            data = np.add(data, prod, out=prod if data is a.data else data)
+        else:
+            data = data + prod
         parents.append(b)
         rules.append(lambda g, c=c: g * c)
     return _from_op(data, tuple(parents), tuple(rules))
@@ -328,9 +341,14 @@ def relu_tanh_diff(a: Tensor, b: Tensor, alpha: float) -> Tensor:
     np.tanh(data, out=data)
     np.maximum(data, 0, out=data)
 
-    # the output equals the tanh wherever the relu passes its gradient
+    # the output equals the tanh wherever the relu passes its gradient; both
+    # parents' rules share one evaluation of the chain per output gradient
+    last = [None, None]
+
     def rule(g):
-        return g * (data > 0) * (1.0 - data * data) * alpha
+        if last[0] is not g:
+            last[:] = g, g * (data > 0) * (1.0 - data * data) * alpha
+        return last[1]
 
     return _from_op(data, (a, b), (rule, lambda g: np.negative(rule(g))))
 
@@ -353,13 +371,18 @@ def self_loop_normalize(m: Tensor) -> Tensor:
     """Rows of M + I divided by their sums, 1 + rowsum(M)."""
     n = m.data.shape[-1]
     # adding 0.0 in C order gives the layout and signed zeros of M + eye(n)
-    loops = np.add(m.data, 0.0, order="C")
-    loops.reshape(loops.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
-    deg = loops.sum(axis=-1, keepdims=True)
-    data = loops / deg
+    data = np.add(m.data, 0.0, order="C")
+    data.reshape(data.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
+    deg = data.sum(axis=-1, keepdims=True)
+    data /= deg  # in place: the op allocates one B x N x N array
 
     def rule(g):
-        return g / deg + (-g * data / deg).sum(axis=-1, keepdims=True)
+        # g / deg + sum(-g * data / deg), in that order, on one buffer
+        r = np.negative(g)
+        r *= data
+        r /= deg
+        s = r.sum(axis=-1, keepdims=True)
+        return np.add(np.divide(g, deg, out=r), s, out=r)
 
     return _from_op(data, (m,), (rule,))
 

@@ -1,6 +1,7 @@
 """Numerics: forward values against hand/numpy oracles, backward against
 central finite differences."""
 import gc
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -240,7 +241,9 @@ def test_fanout_accumulates_additively():
 # -- fused elementwise chains -----------------------------------------------------
 
 def _fused_cases(dtype, seed=0):
-    """(leaves, fused op, numpy expression the unfused chain of ops evaluates)."""
+    """(leaves, fused op, numpy expression the unfused chain of ops evaluates,
+    numpy expressions of each parent's rule in that chain, given the output
+    gradient g and the output y)."""
     rng = np.random.default_rng(seed)
 
     def leaf(data):
@@ -262,39 +265,117 @@ def _fused_cases(dtype, seed=0):
         loops = x + eye
         return loops / loops.sum(axis=-1, keepdims=True)
 
+    def normalized_rule(x):
+        def rule(g, y):
+            deg = (x + eye).sum(axis=-1, keepdims=True)
+            return [g / deg + (-g * y / deg).sum(axis=-1, keepdims=True)]
+        return rule
+
+    def relu_tanh_rule(g, y):
+        r = g * (y > 0) * (1.0 - y * y) * alpha
+        return [r, np.negative(r)]
+
+    def tanh_rule(g, y):
+        pre = g * (1.0 - y * y) * alpha
+        return [pre * emb.data, pre * a.data]
+
+    def sigmoid_chain(x):
+        z = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+    wide = leaf(rng.uniform(-8, 8, (2, 4, 3)))
+    wide.data[0, 0, :2] = (0.0, -0.0)
     return [
-        ([a, b], lambda: T.scaled_add(a, [(0.95, b)]), lambda: a.data + b.data * beta),
+        ([a, b], lambda: T.scaled_add(a, [(0.95, b)]), lambda: a.data + b.data * beta,
+         lambda g, y: [g, g * beta]),
         # one hop over two supports: its whole diffusion sum is one node
         ([a, b, c], lambda: T.scaled_add(a, [(0.95, b), (0.4, c)]),
-         lambda: a.data + b.data * beta + c.data * gamma),
+         lambda: a.data + b.data * beta + c.data * gamma,
+         lambda g, y: [g, g * beta, g * gamma]),
+        # a term aliasing the first input: the sum must not land in it
+        ([a, a, a], lambda: T.scaled_add(a, [(0.95, a), (0.4, a)]),
+         lambda: a.data + a.data * beta + a.data * gamma,
+         lambda g, y: [g, g * beta, g * gamma]),
+        # a term that broadcasts against the first input
+        ([a, emb], lambda: T.scaled_add(a, [(0.95, emb)]), lambda: a.data + emb.data * beta,
+         lambda g, y: [g, g * beta]),
         ([a, b], lambda: T.relu_tanh_diff(a, b, 3.0),
-         lambda: np.maximum(np.tanh((a.data - b.data) * alpha), 0)),
+         lambda: np.maximum(np.tanh((a.data - b.data) * alpha), 0), relu_tanh_rule),
         ([a, emb], lambda: T.tanh_product(a, emb, 3.0),
-         lambda: np.tanh((a.data * emb.data) * alpha)),
-        ([m], lambda: T.self_loop_normalize(m), lambda: normalized(m.data)),
-        ([mt], lambda: T.self_loop_normalize(mt), lambda: normalized(mt.data)),
+         lambda: np.tanh((a.data * emb.data) * alpha), tanh_rule),
+        ([m], lambda: T.self_loop_normalize(m), lambda: normalized(m.data),
+         normalized_rule(m.data)),
+        ([mt], lambda: T.self_loop_normalize(mt), lambda: normalized(mt.data),
+         normalized_rule(mt.data)),
         ([z, a, b], lambda: T.gru_update(z, a, b),
-         lambda: z.data * a.data + (1.0 - z.data) * b.data),
+         lambda: z.data * a.data + (1.0 - z.data) * b.data,
+         lambda g, y: [g * a.data - g * b.data, g * z.data, g * (1.0 - z.data)]),
+        ([wide], lambda: T.sigmoid(wide), lambda: sigmoid_chain(wide.data),
+         lambda g, y: [g * y * (1.0 - y)]),
     ]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_forward_is_bitwise_the_unfused_chain(dtype):
-    for _, op, expect in _fused_cases(dtype):
+    for _, op, expect, _ in _fused_cases(dtype):
         out, want = op().data, expect()
         assert out.dtype == want.dtype == dtype
         assert out.shape == want.shape and out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_rules_are_bitwise_the_unfused_chain(dtype):
+    # every rule, also one evaluated in place or shared by two parents, gives
+    # the bits of the out-of-place expression
+    for i, (_, op, _, expect) in enumerate(_fused_cases(dtype)):
+        out = op()
+        g = np.random.default_rng(i).normal(size=out.shape).astype(dtype)
+        got = [rule(g) for rule in out._backward]
+        want = expect(g, out.data)
+        assert len(got) == len(want)
+        for r, w in zip(got, want):
+            assert r.dtype == w.dtype and r.shape == w.shape and r.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_ops_write_into_no_input(dtype):
+    # inputs and output gradients are read-only, so a write into one raises;
+    # one scaled_add case has every term aliasing its first input
+    for leaves, op, expect, _ in _fused_cases(dtype):
+        before = [t.data.copy() for t in leaves]
+        for t in leaves:
+            t.data.flags.writeable = False
+        out = op()
+        g = np.ones(out.shape, dtype)
+        g.flags.writeable = False
+        for rule in out._backward:
+            rule(g)
+        assert all(np.array_equal(t.data, x) for t, x in zip(leaves, before))
+        assert np.all(g == 1.0) and out.data.tobytes() == expect().tobytes()
+
+
+def test_self_loop_normalize_allocates_one_output():
+    m = T.Tensor(np.random.default_rng(23).uniform(0, 1, (8, 128, 128)))
+    with T.no_grad():
+        T.self_loop_normalize(m)
+        tracemalloc.start()
+        try:
+            out = T.self_loop_normalize(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.data.nbytes <= peak < 1.25 * out.data.nbytes
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_grads_match_fd(seed):
-    for leaves, op, _ in _fused_cases(np.float64, seed):
+    for leaves, op, _, _ in _fused_cases(np.float64, seed):
         weight = T.Tensor(np.random.default_rng(seed).normal(size=op().shape))
         _fd_check(lambda: (op() * weight).sum(), leaves, tol=1e-6)
 
 
 def test_fused_ops_record_one_tape_node():
-    for leaves, op, _ in _fused_cases(np.float64):
+    for leaves, op, _, _ in _fused_cases(np.float64):
         out = op()
         assert len(out._parents) == len(out._backward) == len(leaves)
         assert all(p is leaf for p, leaf in zip(out._parents, leaves))

@@ -287,6 +287,25 @@ def test_predict_frees_encoder_states_before_decoding(monkeypatch):
     assert alive == [0]
 
 
+def test_no_grad_step_frees_its_graph_before_the_next(monkeypatch):
+    # under no_grad a cell step's dynamic graph is dead before the next
+    # step's generator runs, so one step's B x N x N arrays are alive at once
+    params, graph, ds = _tiny_setup(hp_kw={"input_len": 3, "output_len": 3})
+    arrays, alive = [], []
+    real_generate = M.generate
+
+    def recording_generate(inp, static_fwd, gen):
+        alive.append(sum(ref() is not None for ref in arrays))
+        dyn = real_generate(inp, static_fwd, gen)
+        arrays.extend(weakref.ref(t.data) for t in (dyn.raw, dyn.normalized, dyn.normalized_bwd))
+        return dyn
+
+    monkeypatch.setattr(M, "generate", recording_generate)
+    TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats)
+    assert len(arrays) == 3 * 6
+    assert alive == [0] * 6
+
+
 def test_evaluate_returns_overall_and_rows():
     params, graph, ds = _tiny_setup()
     (mae, rmse, mape, n), rows = TR.evaluate(params, graph, ds.val, ds.stats)
