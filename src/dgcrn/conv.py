@@ -17,15 +17,18 @@ weights U and no skip term,
 
 and `fold` returns that alpha-0 form. `dgconv_forward` folds its
 parameters and evaluates the sum in Horner form, each hop (X U_k plus all
-its diffusion terms) one tape node. Folding an alpha-0 convolution returns
-it unchanged, so `model.encode` and `model.decode` fold their cell once per
-forward and a forward records the U_i once, not P+Q times. The matmul count
-is that of the hop-by-hop form, (K+1) + K |supports|, but every N x N
-product multiplies a D_out-wide array (hidden in the gates, hyper_dim in
-the hyper-networks) instead of the D_in = 2 + hidden wide input: at the
-paper shape 64 or 16 columns instead of 66, which falls off the BLAS
-kernel's 16-column blocking. The summation order differs from the
-hop-by-hop form, so results agree with `oracles.khop_conv_ref` to rounding.
+its diffusion terms) one tape node. A hop scales its diffusion products
+in place and sums into the first (`T.scaled_add` overwrites its terms), so
+it allocates its products and nothing else. Folding an alpha-0
+convolution returns it unchanged, so `model.encode` and `model.decode`
+fold their cell once per forward and a forward records the U_i once, not
+P+Q times. The matmul count is that of the hop-by-hop form,
+(K+1) + K |supports|, but every N x N product multiplies a D_out-wide
+array (hidden in the gates, hyper_dim in the hyper-networks) instead of
+the D_in = 2 + hidden wide input: at the paper shape 64 or 16 columns
+instead of 66, which falls off the BLAS kernel's 16-column blocking. The
+summation order differs from the hop-by-hop form, so results agree with
+`oracles.khop_conv_ref` to rounding.
 
 `supports` builds the forward and backward lists once per cell step,
 dynamic graph first, and leaves out every support whose coefficient is
@@ -76,7 +79,8 @@ def fold(p: ConvParams) -> ConvParams:
     us = [ws[-1]]
     tail = ws[-1]  # sum of the weights of the hops above k
     for k in range(len(ws) - 2, -1, -1):
-        us.append(T.scaled_add(ws[k], [(alpha, tail)]))
+        # scaled_add overwrites its term: it gets a copy, never a weight
+        us.append(T.scaled_add(ws[k], [(alpha, tail * 1.0)]))
         if k:
             tail = tail + ws[k]
     return ConvParams(us[::-1], 0.0)

@@ -96,9 +96,9 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     the antisymmetry exact; it is ROADMAP item 5, and it changes the number
     of matmuls per cell step.
     """
-    m1 = T.matmul(de_src, de_tgt.mT)
-    m2 = T.matmul(de_tgt, de_src.mT)
-    raw = T.relu_tanh_diff(m1, m2, alpha_sat)
+    # no rule reads the two products, so they are freed before normalizing
+    raw = T.relu_tanh_diff(T.matmul(de_src, de_tgt.mT), T.matmul(de_tgt, de_src.mT),
+                           alpha_sat)
     return DynamicGraph(
         raw=raw,
         normalized=T.self_loop_normalize(raw),

@@ -220,10 +220,6 @@ def named_parameters(params: ModelParams):
     return out
 
 
-def param_count(params: ModelParams) -> int:
-    return sum(t.size for _, t in named_parameters(params))
-
-
 def zero_grads(params: ModelParams):
     for _, t in named_parameters(params):
         t.zero_grad()
@@ -255,8 +251,10 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     Returns the new hidden state and, for diagnostics, the dynamic graph
     used (None when the cell has no generator); `encode` and `decode` drop
     the graph at once, so that under `no_grad` a step's three B x N x N
-    arrays are freed before the next step builds its own. The shapes are
-    those `encode` and `decode` checked when the batch entered the model.
+    arrays are freed before the next step builds its own. Within the step
+    each temporary goes at its last use: `xh` once the reset gate is built
+    and `r` once `[x, r*h]` is, before the candidate gate runs. The shapes
+    are those `encode` and `decode` checked when the batch entered the model.
     """
     # [speed, time-of-day, hidden]: the generator and the z/r gates read it
     xh = T.concat([x_t, h_prev], axis=-1)
@@ -266,7 +264,9 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     fwd, bwd = supports(graph, dyn, cell.beta_mix, cell.gamma_mix, xh.dtype)
     z = T.sigmoid(dual_dgconv(xh, fwd, bwd, cell.theta_z))
     r = T.sigmoid(dual_dgconv(xh, fwd, bwd, cell.theta_r))
+    del xh
     xrh = T.concat([x_t, r * h_prev], axis=-1)
+    del r
     h_cand = T.tanh(dual_dgconv(xrh, fwd, bwd, cell.theta_h))
     h_t = T.gru_update(z, h_prev, h_cand)
     T.assert_finite(h_t, "%s: hidden state" % step_label)

@@ -312,19 +312,25 @@ def absolute(t: Tensor) -> Tensor:
 # chain's order and the rules multiply its derivatives in the same order, so
 # values and gradients are bit-identical to one node per operation, while
 # the tape keeps only what the rules read, not every intermediate. An op
-# (these and `sigmoid`) may work in place, but only on arrays it allocated
-# itself, never on an input or an output gradient.
+# (these and `sigmoid`) may work in place on arrays it allocated itself,
+# never on an output gradient, and on an input only where its contract says
+# so: `scaled_add` overwrites its terms, never its first input.
 
 
 def scaled_add(a: Tensor, terms) -> Tensor:
     """a + sum_j c_j*b_j over (c_j, b_j) terms, summed left to right: one hop's
-    diffusion terms in a convolution, or one of its Horner weights."""
+    diffusion terms in a convolution, or one of its Horner weights.
+
+    Each b_j's array is scratch: it is scaled in place, and the sum lands in
+    the first one of the output's shape, so a hop allocates nothing for its
+    sum. A caller passes as terms only arrays it made for this call and that
+    nothing else reads (no rule reads a product); `a` is never written.
+    """
     data, parents, rules = a.data, [a], [_identity]
     for c, b in terms:
         c = np.asarray(c, dtype=b.data.dtype)
-        prod = b.data * c
+        prod = np.multiply(b.data, c, out=b.data)
         if data.shape == prod.shape and data.dtype == prod.dtype:
-            # the sum lives in the first term's product, never in an input
             data = np.add(data, prod, out=prod if data is a.data else data)
         else:
             data = data + prod

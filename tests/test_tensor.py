@@ -243,11 +243,16 @@ def test_fanout_accumulates_additively():
 def _fused_cases(dtype, seed=0):
     """(leaves, fused op, numpy expression the unfused chain of ops evaluates,
     numpy expressions of each parent's rule in that chain, given the output
-    gradient g and the output y)."""
+    gradient g and the output y). `scaled_add` overwrites its terms, so each
+    of its cases passes copies made per call (`scratch`) and reads the leaves
+    only through them."""
     rng = np.random.default_rng(seed)
 
     def leaf(data):
         return T.Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+
+    def scratch(t):
+        return t * 1.0  # a fresh array, as the products a hop hands scaled_add
 
     a, b = leaf(rng.uniform(-1, 1, (2, 4, 3))), leaf(rng.uniform(-1, 1, (2, 4, 3)))
     c = leaf(rng.uniform(-1, 1, (2, 4, 3)))
@@ -286,19 +291,19 @@ def _fused_cases(dtype, seed=0):
     wide = leaf(rng.uniform(-8, 8, (2, 4, 3)))
     wide.data[0, 0, :2] = (0.0, -0.0)
     return [
-        ([a, b], lambda: T.scaled_add(a, [(0.95, b)]), lambda: a.data + b.data * beta,
-         lambda g, y: [g, g * beta]),
+        ([a, b], lambda: T.scaled_add(a, [(0.95, scratch(b))]),
+         lambda: a.data + b.data * beta, lambda g, y: [g, g * beta]),
         # one hop over two supports: its whole diffusion sum is one node
-        ([a, b, c], lambda: T.scaled_add(a, [(0.95, b), (0.4, c)]),
+        ([a, b, c], lambda: T.scaled_add(a, [(0.95, scratch(b)), (0.4, scratch(c))]),
          lambda: a.data + b.data * beta + c.data * gamma,
          lambda g, y: [g, g * beta, g * gamma]),
-        # a term aliasing the first input: the sum must not land in it
-        ([a, a, a], lambda: T.scaled_add(a, [(0.95, a), (0.4, a)]),
+        # terms holding the first input's values: the sum must not land in it
+        ([a, a, a], lambda: T.scaled_add(a, [(0.95, scratch(a)), (0.4, scratch(a))]),
          lambda: a.data + a.data * beta + a.data * gamma,
          lambda g, y: [g, g * beta, g * gamma]),
         # a term that broadcasts against the first input
-        ([a, emb], lambda: T.scaled_add(a, [(0.95, emb)]), lambda: a.data + emb.data * beta,
-         lambda g, y: [g, g * beta]),
+        ([a, emb], lambda: T.scaled_add(a, [(0.95, scratch(emb))]),
+         lambda: a.data + emb.data * beta, lambda g, y: [g, g * beta]),
         ([a, b], lambda: T.relu_tanh_diff(a, b, 3.0),
          lambda: np.maximum(np.tanh((a.data - b.data) * alpha), 0), relu_tanh_rule),
         ([a, emb], lambda: T.tanh_product(a, emb, 3.0),
@@ -340,7 +345,8 @@ def test_fused_rules_are_bitwise_the_unfused_chain(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_ops_write_into_no_input(dtype):
     # inputs and output gradients are read-only, so a write into one raises;
-    # one scaled_add case has every term aliasing its first input
+    # scaled_add may write only into its terms, the copies its cases make,
+    # and one case has every term holding its first input's values
     for leaves, op, expect, _ in _fused_cases(dtype):
         before = [t.data.copy() for t in leaves]
         for t in leaves:
@@ -367,6 +373,77 @@ def test_self_loop_normalize_allocates_one_output():
     assert out.data.nbytes <= peak < 1.25 * out.data.nbytes
 
 
+def _hop_setup(rng, dtype, b=2, n=5, d_in=3, d=4):
+    """x, the weights [U_0, U_1] of one Horner hop, and its two supports: a
+    dynamic B x N x N graph that needs a gradient and a static N x N one."""
+    def leaf(shape, lo=-1.0):
+        return T.Tensor(rng.uniform(lo, 1.0, shape).astype(dtype), requires_grad=True)
+
+    x, us = leaf((b, n, d_in)), [leaf((d_in, d)), leaf((d_in, d))]
+    sups = [(0.95, leaf((b, n, n), 0.0)), (0.4, T.Tensor(rng.uniform(0, 1, (n, n)).astype(dtype)))]
+    return x, us, sups
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hop_is_bitwise_the_out_of_place_chain(monkeypatch, dtype):
+    # one hop, out = a + c1*P1 + c2*P2 with a = X U_0 and P_j = A_j H for the
+    # previous hop's output H = X U_1, sums into P1: output and every gradient
+    # are the bits of the out-of-place chain, and it writes into neither a,
+    # the supports, H nor any leaf (read-only, so a write raises)
+    rng = np.random.default_rng(24)
+    x, us, sups = _hop_setup(rng, dtype)
+    leaves = [x] + us + [sups[0][1]]
+    for t in leaves + [sups[1][1]]:
+        t.data.flags.writeable = False
+    (c1, a1), (c2, a2) = sups
+    real = T.matmul
+    h = real(x, us[1])
+    chain = real(x, us[0]) + real(a1, h) * c1 + real(a2, h) * c2
+    probe = T.Tensor(rng.normal(size=chain.shape).astype(dtype))
+    (chain * probe).sum().backward()
+    want = [t.grad for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+
+    products = []
+
+    def recording(p, q):
+        out = real(p, q)
+        products.append((out.data, out.data.copy()))
+        return out
+
+    monkeypatch.setattr(T, "matmul", recording)
+    out = conv.dgconv_forward(x, sups, conv.ConvParams(us, 0.0))
+    # H, a, P1, P2, in that order; the sum lives in P1
+    assert len(products) == 4 and out.data is products[2][0]
+    assert out.data.tobytes() == chain.data.tobytes()
+    g = probe.data
+    parents = [rule(g) for rule in out._backward]
+    for r, w in zip(parents, [g, g * np.asarray(c1, dtype), g * np.asarray(c2, dtype)]):
+        assert r.dtype == w.dtype == dtype and r.tobytes() == w.tobytes()
+    (out * probe).sum().backward()
+    for t, w in zip(leaves, want):
+        assert t.grad.dtype == dtype and t.grad.tobytes() == w.tobytes()
+    for arr, before in products[:2]:
+        assert arr.tobytes() == before.tobytes()
+
+
+def test_no_grad_hop_allocates_no_array_per_diffusion_term():
+    # one hop over two supports makes H = X U_1, X U_0 and one product per
+    # support, and sums into the first product: no scaled copy of any term
+    x, us, sups = _hop_setup(np.random.default_rng(25), np.float64, b=8, n=96, d=64)
+    p = conv.ConvParams(us, 0.0)
+    with T.no_grad():
+        conv.dgconv_forward(x, sups, p)
+        tracemalloc.start()
+        try:
+            out = conv.dgconv_forward(x, sups, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert 4 * out.data.nbytes <= peak < 4.25 * out.data.nbytes
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_grads_match_fd(seed):
     for leaves, op, _, _ in _fused_cases(np.float64, seed):
@@ -378,7 +455,8 @@ def test_fused_ops_record_one_tape_node():
     for leaves, op, _, _ in _fused_cases(np.float64):
         out = op()
         assert len(out._parents) == len(out._backward) == len(leaves)
-        assert all(p is leaf for p, leaf in zip(out._parents, leaves))
+        # a scaled_add term's parent is the node of its copy of the leaf
+        assert all(p is leaf or p._parents == (leaf,) for p, leaf in zip(out._parents, leaves))
         assert all(leaf._backward is None for leaf in leaves)
     # a convolution hop over the dynamic and the static graph: its projection
     # X U_0 and both diffusion products are the parents of one node
@@ -578,7 +656,10 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
     # every product in dgconv_forward feeds only `scaled_add`, whose rules
     # read neither operand, except the first projection X U_K: it is the
     # first hop's diffusion operand, and the dynamic graph's rule reads it.
-    # An operand whose partner needs a gradient stays for that partner's rule
+    # A hop's sum lands in its first diffusion product, so that array lives
+    # on as the hop's output: hop 1's for hop 2's dynamic-graph rule, and
+    # hop 2's as the convolution's output. An operand whose partner needs a
+    # gradient stays for that partner's rule
     rng = np.random.default_rng(22)
     n, b, d = 5, 2, 3
     graph = build_adjacency(synth_distances(n, seed=1), kappa=0.1)
@@ -602,7 +683,8 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
     out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, fwd, params)
     # X U_2, then (X U_k, dynamic, static) per hop
     assert len(products) == 7
-    assert [i for i, r in enumerate(products) if r() is not None] == [0]
+    assert [i for i, r in enumerate(products) if r() is not None] == [0, 2, 5]
+    assert products[5]() is out.data
     assert all(r() is not None for r, read in operands if read)
     out.sum().backward()
     assert all(w.grad is not None for w in weights)

@@ -306,6 +306,48 @@ def test_no_grad_step_frees_its_graph_before_the_next(monkeypatch):
     assert alive == [0] * 6
 
 
+def test_no_grad_step_frees_each_temporary_at_its_last_use(monkeypatch):
+    # under no_grad the generator's two DE DE^T products are dead before it
+    # normalizes, and the gate input xh and the reset gate r are dead before
+    # the candidate gate's convolution runs, while z is still alive
+    n = 5  # no other product of this model is N x N
+    params, graph, ds = _tiny_setup(n=n, hp_kw={"input_len": 3, "output_len": 3})
+    products, gate_inputs, gates = [], [], []
+    at_normalize, at_candidate = [], []
+    real_matmul, real_normalize = T.matmul, T.self_loop_normalize
+    real_sigmoid, real_conv = T.sigmoid, M.dual_dgconv
+
+    def matmul(x, y):
+        out = real_matmul(x, y)
+        if out.shape[-2:] == (n, n):
+            products.append(weakref.ref(out.data))
+        return out
+
+    def normalize(m):
+        at_normalize.append([r() is None for r in products[-2:]])
+        return real_normalize(m)
+
+    def sigmoid(t):
+        out = real_sigmoid(t)
+        gates.append(weakref.ref(out.data))
+        return out
+
+    def conv(h_in, fwd, bwd, theta):
+        if len(gate_inputs) % 3 == 2:  # z and r came first
+            at_candidate.append((gate_inputs[-1]() is None, gates[-1]() is None,
+                                 gates[-2]() is None))
+        gate_inputs.append(weakref.ref(h_in.data))
+        return real_conv(h_in, fwd, bwd, theta)
+
+    for owner, name, fn in ((T, "matmul", matmul), (T, "self_loop_normalize", normalize),
+                            (T, "sigmoid", sigmoid), (M, "dual_dgconv", conv)):
+        monkeypatch.setattr(owner, name, fn)
+    TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats)
+    assert len(products) == 2 * 6 and len(gate_inputs) == 3 * 6
+    assert at_normalize == [[True, True]] * (2 * 6)
+    assert at_candidate == [(True, True, False)] * 6
+
+
 def test_evaluate_returns_overall_and_rows():
     params, graph, ds = _tiny_setup()
     (mae, rmse, mape, n), rows = TR.evaluate(params, graph, ds.val, ds.stats)
