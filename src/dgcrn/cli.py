@@ -358,7 +358,7 @@ def _cmd_bench(args, cfg, out):
 
     seg_train, _, _ = split(series, cfg.data.split, cfg.data.train,
                             cfg.data.val, cfg.data.test)
-    ha = MT.HistoricalAverage(series.dt_seconds).fit(seg_train)
+    ha = MT.HistoricalAverage.fit(seg_train)
     rows += MT.per_horizon_metrics("HA", ha.predict_at(samples.target_ts),
                                    samples.y, samples.mask)
     rows += MT.per_horizon_metrics(

@@ -79,8 +79,7 @@ def fold(p: ConvParams) -> ConvParams:
     us = [ws[-1]]
     tail = ws[-1]  # sum of the weights of the hops above k
     for k in range(len(ws) - 2, -1, -1):
-        # scaled_add overwrites its term: it gets a copy, never a weight
-        us.append(T.scaled_add(ws[k], [(alpha, tail * 1.0)]))
+        us.append(ws[k] + tail * alpha)
         if k:
             tail = tail + ws[k]
     return ConvParams(us[::-1], 0.0)

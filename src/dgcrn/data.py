@@ -54,10 +54,6 @@ class SpeedSeries:
         return (self.timestamps() % DAY_SECONDS) / float(DAY_SECONDS)
 
     def slice_steps(self, start: int, stop: int) -> "SpeedSeries":
-        if not 0 <= start < stop <= self.n_steps:
-            raise DimensionError(
-                "slice [%d, %d) out of range for %d steps" % (start, stop, self.n_steps)
-            )
         return SpeedSeries(
             self.values[start:stop].copy(),
             self.dt_seconds,
@@ -94,8 +90,6 @@ class NormStats:
 
 def normalize(x, stats: NormStats, direction: str = "forward") -> np.ndarray:
     """Z-score transform; NaN sentinels pass through untouched."""
-    if stats.std <= 0.0:
-        raise DegenerateInputError("normalization std must be positive; got %r" % (stats.std,))
     x = np.asarray(x, dtype=np.float64)
     if direction == "forward":
         return (x - stats.mean) / stats.std
@@ -112,6 +106,7 @@ def split(series: SpeedSeries, kind: str, train, val, test):
 
     kind='ratio': fractions summing to 1, floor arithmetic, remainder to
     test. kind='days': whole-day counts that must tile the series exactly.
+    The config loader has checked kind and that each share is positive.
     """
     t_total = series.n_steps
     if kind == "ratio":
@@ -121,15 +116,13 @@ def split(series: SpeedSeries, kind: str, train, val, test):
         n_train = int(t_total * fracs[0])
         n_val = int(t_total * fracs[1])
         n_test = t_total - n_train - n_val
-    elif kind == "days":
+    else:  # days
         if DAY_SECONDS % series.dt_seconds != 0:
             raise ConfigError(
                 "day split needs dt_seconds dividing a day; got %d" % series.dt_seconds
             )
         spd = DAY_SECONDS // series.dt_seconds
         days = (int(train), int(val), int(test))
-        if any(d < 0 for d in days):
-            raise ConfigError("day counts must be nonnegative; got %r" % (days,))
         want = sum(days) * spd
         if want != t_total:
             raise ConfigError(
@@ -137,8 +130,6 @@ def split(series: SpeedSeries, kind: str, train, val, test):
                 % (days, want, t_total, t_total / spd)
             )
         n_train, n_val, n_test = (d * spd for d in days)
-    else:
-        raise ConfigError("split kind must be 'ratio' or 'days'; got %r" % (kind,))
     if min(n_train, n_val, n_test) < 1:
         raise ConfigError(
             "split produces an empty segment (train=%d val=%d test=%d)"
@@ -179,43 +170,23 @@ def _sliding(arr: np.ndarray, window: int) -> np.ndarray:
 
 
 def make_windows(series: SpeedSeries, input_len: int, output_len: int,
-                 stats: NormStats | None = None,
-                 filled: np.ndarray | None = None) -> SampleSet:
-    """Stride-1 windows: P input steps then Q label steps.
+                 stats: NormStats, filled: np.ndarray) -> SampleSet:
+    """Stride-1 windows: P input steps then Q label steps; the series holds
+    at least P+Q steps (`build_dataset` checks).
 
-    filled supplies the imputed values for the input channel (defaults to
-    the raw values); labels and masks always come from the raw series so
-    imputed entries never count as observed.
+    filled (T x N) supplies the imputed values for the input channel;
+    labels and masks always come from the raw series so imputed entries
+    never count as observed.
     """
-    if input_len < 1 or output_len < 1:
-        raise ConfigError("input_len and output_len must be >= 1")
-    t_total, n = series.values.shape
-    count = t_total - input_len - output_len + 1
-    if count <= 0:
-        warnings.warn(
-            "segment of %d steps is shorter than P+Q=%d; no windows"
-            % (t_total, input_len + output_len),
-            stacklevel=2,
-        )
-        return SampleSet(
-            x=np.zeros((0, input_len, n, 2)),
-            y=np.zeros((0, output_len, n)),
-            tod=np.zeros((0, output_len)),
-            mask=np.zeros((0, output_len, n)),
-            target_ts=np.zeros((0, output_len), dtype=np.int64),
-        )
     raw = series.values
-    src = raw if filled is None else np.asarray(filled, dtype=np.float64)
-    if src.shape != raw.shape:
-        raise DimensionError(
-            "filled values shape %r does not match series %r" % (src.shape, raw.shape)
-        )
+    t_total, n = raw.shape
+    count = t_total - input_len - output_len + 1
     tod_all = series.time_of_day()
     ts_all = series.timestamps()
 
     # one T x N x 2 step array; each window is a view of P consecutive steps
     steps = np.empty((t_total, n, 2))
-    steps[..., 0] = src if stats is None else normalize(src, stats)
+    steps[..., 0] = normalize(filled, stats)
     steps[..., 1] = tod_all[:, None]
     x = _sliding(steps, input_len)[:count]
     labels = slice(input_len, input_len + count)
@@ -229,26 +200,13 @@ def make_windows(series: SpeedSeries, input_len: int, output_len: int,
 # -- imputation --------------------------------------------------------------------
 
 
-def impute_last(series: SpeedSeries, lead_fill: np.ndarray | None = None) -> SpeedSeries:
-    """Forward-fill missing entries per node.
-
-    Leading gaps take lead_fill (the node's training-period mean) when
-    given, otherwise the node's own observed mean within this series.
-    """
+def impute_last(series: SpeedSeries, lead_fill: np.ndarray) -> SpeedSeries:
+    """Forward-fill missing entries per node; leading gaps take lead_fill,
+    one value per node (the node's training-period mean)."""
     v = series.values
     t_total, n = v.shape
     valid = np.isfinite(v)
-    if lead_fill is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            lead = np.nanmean(v, axis=0)
-    else:
-        lead = np.asarray(lead_fill, dtype=np.float64)
-        if lead.shape != (n,):
-            raise DimensionError(
-                "lead_fill must have shape (%d,); got %r" % (n, lead.shape)
-            )
-    dead = np.flatnonzero(~np.isfinite(lead))
+    dead = np.flatnonzero(~np.isfinite(lead_fill))
     if dead.size:
         raise DegenerateInputError(
             "node %d has no observed values to impute from" % int(dead[0])
@@ -256,7 +214,7 @@ def impute_last(series: SpeedSeries, lead_fill: np.ndarray | None = None) -> Spe
     idx = np.where(valid, np.arange(t_total)[:, None], -1)
     idx = np.maximum.accumulate(idx, axis=0)
     gathered = v[np.maximum(idx, 0), np.arange(n)[None, :]]
-    out = np.where(idx >= 0, gathered, lead[None, :])
+    out = np.where(idx >= 0, gathered, lead_fill[None, :])
     return SpeedSeries(out, series.dt_seconds, series.start_epoch)
 
 
@@ -277,7 +235,8 @@ class WindowedDataset:
 def build_dataset(series: SpeedSeries, input_len: int, output_len: int,
                   split_kind: str, split_train, split_val, split_test,
                   stats: NormStats | None = None) -> WindowedDataset:
-    """Split, fit stats on train, impute, and window each segment."""
+    """Split, fit stats on train, impute, and window each segment; each
+    segment must hold at least P+Q steps."""
     seg_train, seg_val, seg_test = split(series, split_kind, split_train, split_val, split_test)
     if stats is None:
         stats = NormStats.fit(seg_train.values)
@@ -285,12 +244,12 @@ def build_dataset(series: SpeedSeries, input_len: int, output_len: int,
         warnings.simplefilter("ignore", RuntimeWarning)
         train_means = np.nanmean(seg_train.values, axis=0)
     sets = []
-    for seg in (seg_train, seg_val, seg_test):
+    for name, seg in zip(("train", "val", "test"), (seg_train, seg_val, seg_test)):
+        if seg.n_steps < input_len + output_len:
+            raise ConfigError("%s split has %d steps, fewer than P+Q=%d; no windows"
+                              % (name, seg.n_steps, input_len + output_len))
         filled = impute_last(seg, lead_fill=train_means).values
         sets.append(make_windows(seg, input_len, output_len, stats, filled))
-    for name, s in zip(("train", "val", "test"), sets):
-        if len(s) == 0:
-            raise ConfigError("%s split yields no windows; segment too short" % name)
     return WindowedDataset(
         train=sets[0], val=sets[1], test=sets[2], stats=stats,
         input_len=input_len, output_len=output_len, n_nodes=series.n_nodes,
@@ -300,12 +259,10 @@ def build_dataset(series: SpeedSeries, input_len: int, output_len: int,
 # -- synthetic data -------------------------------------------------------------------
 
 
-def synth_distances(n_nodes: int, seed: int, box: float = 10.0) -> np.ndarray:
-    """Euclidean distances between uniform random points in a box."""
-    if n_nodes < 2:
-        raise ConfigError("need at least 2 nodes; got %d" % n_nodes)
+def synth_distances(n_nodes: int, seed: int) -> np.ndarray:
+    """Euclidean distances between uniform random points in a 10 x 10 box."""
     rng = np.random.default_rng(seed)
-    pos = rng.uniform(0.0, box, (n_nodes, 2))
+    pos = rng.uniform(0.0, 10.0, (n_nodes, 2))
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     np.fill_diagonal(d, 0.0)
     return d
@@ -313,25 +270,18 @@ def synth_distances(n_nodes: int, seed: int, box: float = 10.0) -> np.ndarray:
 
 def synth_generate(n_nodes: int, n_days: int, graph, seed: int,
                    congestion_rate: float = 0.002, noise_std: float = 1.0,
-                   dt_seconds: int = 300, start_epoch: int = 0) -> SpeedSeries:
+                   dt_seconds: int = 300) -> SpeedSeries:
     """Free-flow 60 with a per-node daily sinusoid dip, plus congestion
     events that pull speed toward 15 and spread to out-neighbors with a
-    one-step lag and damping 0.6. Deterministic per seed.
+    one-step lag and damping 0.6, from epoch 0. Deterministic per seed.
+    graph has n_nodes nodes; the config loader checks n_days and the rate.
     """
-    if n_days < 1:
-        raise ConfigError("n_days must be >= 1; got %d" % n_days)
-    if graph.n_nodes != n_nodes:
-        raise DimensionError(
-            "graph has %d nodes, requested %d" % (graph.n_nodes, n_nodes)
-        )
-    if not 0.0 <= congestion_rate < 1.0:
-        raise ConfigError("congestion_rate must lie in [0,1); got %r" % (congestion_rate,))
     rng = np.random.default_rng(seed)
     spd = DAY_SECONDS // dt_seconds
     t_total = n_days * spd
     n = n_nodes
 
-    tod = ((start_epoch + np.arange(t_total) * dt_seconds) % DAY_SECONDS) / DAY_SECONDS
+    tod = ((np.arange(t_total) * dt_seconds) % DAY_SECONDS) / DAY_SECONDS
     amp = rng.uniform(6.0, 12.0, n)
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     base = 60.0 - amp[None, :] * (0.5 + 0.5 * np.sin(2.0 * np.pi * tod[:, None] + phase[None, :]))
@@ -364,7 +314,7 @@ def synth_generate(n_nodes: int, n_days: int, graph, seed: int,
     noise = rng.standard_normal((t_total, n))
     noise *= noise_std
     base += noise
-    return SpeedSeries(base, dt_seconds, start_epoch)
+    return SpeedSeries(base, dt_seconds)
 
 
 # -- text file interface ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import exact_header, read_csv, write_csv
-from .errors import ConfigError, DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError
 from .tensor import Tensor
 
 
@@ -42,8 +42,8 @@ def build_adjacency(distances, kappa: float = 0.1) -> StaticGraph:
     """Gaussian-kernel adjacency from a distance matrix.
 
     distances: square nonnegative matrix, zero diagonal, inf for unreachable
-    pairs. kappa in (0,1) controls sparsity: entries with kernel value below
-    kappa are zeroed.
+    pairs. kappa in (0,1), checked by the config loader, controls sparsity:
+    entries with kernel value below kappa are zeroed.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -51,8 +51,6 @@ def build_adjacency(distances, kappa: float = 0.1) -> StaticGraph:
     n = d.shape[0]
     if n < 2:
         raise DegenerateInputError("need at least 2 nodes; got %d" % n)
-    if not 0.0 < kappa < 1.0:
-        raise ConfigError("kappa must lie in (0,1); got %r" % (kappa,))
     if np.any(np.diagonal(d) != 0.0):
         raise DegenerateInputError("self-distances must be zero")
     finite = d[np.isfinite(d)]
@@ -73,10 +71,7 @@ def build_adjacency(distances, kappa: float = 0.1) -> StaticGraph:
 
 
 def normalize_static(a) -> np.ndarray:
-    """Row-normalize a nonnegative matrix: out[i,j] = a[i,j] / rowsum(i)."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("expected a square matrix; got shape %r" % (a.shape,))
+    """Row-normalize a square nonnegative matrix: out[i,j] = a[i,j] / rowsum(i)."""
     rows = a.sum(axis=1)
     bad = np.flatnonzero(rows <= 0.0)
     if bad.size:

@@ -6,6 +6,8 @@ percent.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .data import WEEK_SECONDS, SpeedSeries, exact_header, normalize, read_csv, write_csv
@@ -35,14 +37,11 @@ def masked_metrics(pred, truth, mask):
 def per_horizon_metrics(model_name: str, pred, truth, mask):
     """Rows (model, horizon, mae, rmse, mape, n) for each non-empty step.
 
-    pred/truth/mask: S x Q x N; horizon is 1-based.
+    pred/truth/mask: S x Q x N arrays; horizon is 1-based.
     """
-    pred = np.asarray(pred)
-    if pred.ndim != 3:
-        raise DimensionError("expected S x Q x N arrays; got %r" % (pred.shape,))
     rows = []
     for q in range(pred.shape[1]):
-        got = masked_metrics(pred[:, q], np.asarray(truth)[:, q], np.asarray(mask)[:, q])
+        got = masked_metrics(pred[:, q], truth[:, q], mask[:, q])
         if got is None:
             continue
         mae, rmse, mape, n = got
@@ -53,29 +52,24 @@ def per_horizon_metrics(model_name: str, pred, truth, mask):
 # -- baselines ---------------------------------------------------------------------
 
 
+@dataclass
 class HistoricalAverage:
     """Weekly profile baseline: one mean per node per time-of-week slot."""
 
-    def __init__(self, dt_seconds: int):
-        if dt_seconds <= 0 or WEEK_SECONDS % dt_seconds != 0:
-            raise ConfigError(
-                "dt_seconds must divide a week; got %r" % (dt_seconds,)
-            )
-        self.dt_seconds = int(dt_seconds)
-        self.n_slots = WEEK_SECONDS // self.dt_seconds
-        self.profile = None
+    dt_seconds: int
+    profile: np.ndarray  # week slots x N
 
-    def fit(self, series: SpeedSeries) -> "HistoricalAverage":
-        if series.dt_seconds != self.dt_seconds:
-            raise ConfigError(
-                "series dt %d does not match baseline dt %d"
-                % (series.dt_seconds, self.dt_seconds)
-            )
+    @classmethod
+    def fit(cls, series: SpeedSeries) -> "HistoricalAverage":
+        """The profile of `series`, on its clock, which must divide a week."""
+        dt = series.dt_seconds
+        if WEEK_SECONDS % dt != 0:
+            raise ConfigError("dt_seconds must divide a week; got %r" % (dt,))
         v = series.values
-        n = series.n_nodes
-        slots = (series.timestamps() % WEEK_SECONDS) // self.dt_seconds
-        sums = np.zeros((self.n_slots, n))
-        counts = np.zeros((self.n_slots, n))
+        n_slots, n = WEEK_SECONDS // dt, series.n_nodes
+        slots = (series.timestamps() % WEEK_SECONDS) // dt
+        sums = np.zeros((n_slots, n))
+        counts = np.zeros((n_slots, n))
         obs = np.isfinite(v)
         np.add.at(sums, slots, np.where(obs, v, 0.0))
         np.add.at(counts, slots, obs.astype(np.float64))
@@ -88,13 +82,10 @@ class HistoricalAverage:
         with np.errstate(invalid="ignore"):
             prof = sums / counts
         # slots never seen in training fall back to the node's global mean
-        self.profile = np.where(counts > 0, prof, node_mean[None, :])
-        return self
+        return cls(dt, np.where(counts > 0, prof, node_mean[None, :]))
 
     def predict_at(self, timestamps) -> np.ndarray:
         """timestamps: any int64 shape; returns shape + (n_nodes,)."""
-        if self.profile is None:
-            raise ConfigError("baseline not fitted")
         ts = np.asarray(timestamps, dtype=np.int64)
         slots = (ts % WEEK_SECONDS) // self.dt_seconds
         return self.profile[slots]
@@ -103,9 +94,6 @@ class HistoricalAverage:
 def persistence_forecast(x, stats, output_len: int) -> np.ndarray:
     """Repeat the last input reading: x is S x P x N x 2 with a normalized
     speed channel; returns S x Q x N in raw units."""
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise DimensionError("expected S x P x N x 2 inputs; got %r" % (x.shape,))
     last = normalize(x[:, -1, :, 0], stats, direction="inverse")
     return np.repeat(last[:, None, :], output_len, axis=1)
 

@@ -211,7 +211,7 @@ def _identity(g):
 
 
 def _swap_last(g):
-    return np.swapaxes(g, -1, -2)
+    return g.swapaxes(-1, -2)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -220,7 +220,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -259,7 +259,9 @@ def _accum(t, g):
         return
     g = _unbroadcast(g, t.shape)
     if t.grad is None:
-        t.grad = np.broadcast_to(g, t.shape).astype(t.dtype, copy=False)
+        if g.shape != t.shape:
+            g = np.broadcast_to(g, t.shape)
+        t.grad = g.astype(t.dtype, copy=False)
     else:
         t.grad = t.grad + g
 
@@ -270,12 +272,14 @@ def _from_op(data: np.ndarray, parents: tuple, rules: tuple) -> Tensor:
     # gradient, and no rule holds the node, so a tape has no cycles
     out = Tensor(data)
     if _grad_enabled:
-        tape = [(p if p._node is None else p._node, rule)
-                for p, rule in zip(parents, rules) if p.requires_grad]
-        if tape:
-            nodes, kept = zip(*tape)
+        nodes, kept = [], []
+        for p, rule in zip(parents, rules):
+            if p.requires_grad:
+                nodes.append(p if p._node is None else p._node)
+                kept.append(rule)
+        if nodes:
             out.requires_grad = True
-            out._node = _Node(out.data, nodes, kept)
+            out._node = _Node(out.data, tuple(nodes), tuple(kept))
     return out
 
 
@@ -319,7 +323,7 @@ def absolute(t: Tensor) -> Tensor:
 
 def scaled_add(a: Tensor, terms) -> Tensor:
     """a + sum_j c_j*b_j over (c_j, b_j) terms, summed left to right: one hop's
-    diffusion terms in a convolution, or one of its Horner weights.
+    diffusion terms in a convolution.
 
     Each b_j's array is scratch: it is scaled in place, and the sum lands in
     the first one of the output's shape, so a hop allocates nothing for its

@@ -197,7 +197,7 @@ def test_06_learning_beats_baselines_and_static_ablation(tmp_path):
     pers_h3 = [r[2] for r in MT.per_horizon_metrics(
         "persistence", pers, dataset.test.y, dataset.test.mask) if r[1] == 3][0]
     seg_train, _, _ = D.split(series, "days", 14, 2, 4)
-    ha = MT.HistoricalAverage(series.dt_seconds).fit(seg_train)
+    ha = MT.HistoricalAverage.fit(seg_train)
     ha_h3 = [r[2] for r in MT.per_horizon_metrics(
         "HA", ha.predict_at(dataset.test.target_ts), dataset.test.y,
         dataset.test.mask) if r[1] == 3][0]
@@ -354,8 +354,9 @@ def test_10_historical_average_on_real_data():
     series = D.load_speed_csv(path)
     series.values = D.mask_zero_sentinel(series.values)
     seg_train, _, seg_test = D.split(series, "ratio", 0.7, 0.1, 0.2)
-    ha = MT.HistoricalAverage(series.dt_seconds).fit(seg_train)
-    windows = D.make_windows(seg_test, 12, 12)
+    ha = MT.HistoricalAverage.fit(seg_train)
+    # only the labels, masks and target times are read: x's scaling is moot
+    windows = D.make_windows(seg_test, 12, 12, D.NormStats(0.0, 1.0), seg_test.values)
     pred = ha.predict_at(windows.target_ts)
     rows = MT.per_horizon_metrics("HA", pred, windows.y, windows.mask)
     assert len(rows) == 12

@@ -143,11 +143,13 @@ def test_validate_rejects_bad_values():
     cases = [
         ("data", "split", "sideways", r"data\.split"),
         ("data", "kappa", 1.5, "kappa"),
-        # build_adjacency needs kappa in (0, 1); graphs and models need 2 nodes
+        # build_adjacency trusts kappa in (0, 1); graphs and models need 2 nodes
         ("data", "kappa", 0.0, "kappa"),
         ("data", "n_nodes", 1, "n_nodes"),
-        # synth_generate needs a congestion rate in [0, 1)
+        # synth_generate and split trust these; this is their only check
         ("data", "congestion_rate", 1.0, r"data\.congestion_rate"),
+        ("data", "n_days", 0, r"data\.n_days"),
+        ("data", "val", -1.0, r"data\.val must be positive"),
         ("eval", "split", "dev", r"eval\.split"),
         ("eval", "horizons", [0], "horizons"),
         # Adam trusts these; validation must catch them before data loads

@@ -65,8 +65,6 @@ def test_build_errors():
         graphs.build_adjacency(np.zeros((3, 4)))
     with pytest.raises(DegenerateInputError):
         graphs.build_adjacency(np.zeros((1, 1)))
-    with pytest.raises(ConfigError):
-        graphs.build_adjacency(np.array([[0.0, 1.0], [2.0, 0.0]]), kappa=1.5)
     with pytest.raises(DegenerateInputError):
         # identical off-diagonal distances: sigma = 0
         graphs.build_adjacency(np.array([[0.0, 5.0], [5.0, 0.0]]))

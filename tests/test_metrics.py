@@ -78,7 +78,7 @@ def _weekly_series():
 
 def test_weekly_average_profile():
     series, dt, slots = _weekly_series()
-    ha = M.HistoricalAverage(dt).fit(series)
+    ha = M.HistoricalAverage.fit(series)
     assert ha.profile.shape == (slots, 3)
     # mean over the two weeks: slot + 10*node + 1
     want = np.arange(slots)[:, None] + 10.0 * np.arange(3)[None, :] + 1.0
@@ -94,24 +94,19 @@ def test_weekly_average_missing_and_empty_buckets():
     v[5, 0] = np.nan              # week 1 only -> bucket mean is week-2 value
     v[3, 1] = np.nan
     v[slots + 3, 1] = np.nan      # both weeks -> bucket empty, global mean
-    ha = M.HistoricalAverage(dt).fit(SpeedSeries(v, dt, 0))
+    ha = M.HistoricalAverage.fit(SpeedSeries(v, dt, 0))
     assert ha.profile[5, 0] == pytest.approx(5.0 + 2.0)
     node1 = v[:, 1]
     assert ha.profile[3, 1] == pytest.approx(node1[np.isfinite(node1)].mean())
 
 
 def test_weekly_average_validation():
-    with pytest.raises(ConfigError):
-        M.HistoricalAverage(13)   # does not divide a week
-    series, dt, _ = _weekly_series()
-    with pytest.raises(ConfigError):
-        M.HistoricalAverage(300).fit(series)  # dt mismatch
+    with pytest.raises(ConfigError, match="divide a week"):
+        M.HistoricalAverage.fit(SpeedSeries(np.ones((10, 2)), 13, 0))
     dead = SpeedSeries(np.full((10, 2), np.nan), 3600, 0)
     dead.values[:, 0] = 1.0
     with pytest.raises(DegenerateInputError):
-        M.HistoricalAverage(3600).fit(dead)
-    with pytest.raises(ConfigError):
-        M.HistoricalAverage(3600).predict_at(np.array([0]))
+        M.HistoricalAverage.fit(dead)
 
 
 # -- persistence baseline ------------------------------------------------------------
@@ -122,14 +117,12 @@ def test_persistence_repeats_last_input():
     v = rng.uniform(20.0, 60.0, (20, 4))
     series = SpeedSeries(v, 300, 0)
     stats = NormStats.fit(v)
-    got = make_windows(series, 3, 2, stats)
+    got = make_windows(series, 3, 2, stats, v)
     fc = M.persistence_forecast(got.x, stats, 2)
     assert fc.shape == (len(got), 2, 4)
     for s in range(len(got)):
         np.testing.assert_allclose(fc[s, 0], v[s + 2], atol=1e-12)
         np.testing.assert_allclose(fc[s, 1], v[s + 2], atol=1e-12)
-    with pytest.raises(DimensionError):
-        M.persistence_forecast(got.x[0], stats, 2)
 
 
 # -- analysis ----------------------------------------------------------------------
@@ -259,7 +252,7 @@ def test_persistence_on_linear_ramp():
     v = np.stack([t, t + 5.0], axis=1)
     series = SpeedSeries(v, 300, 0)
     stats = NormStats.fit(v)
-    got = make_windows(series, 4, 3, stats)
+    got = make_windows(series, 4, 3, stats, v)
     fc = M.persistence_forecast(got.x, stats, 3)
     rows = M.per_horizon_metrics("persistence", fc, got.y, got.mask)
     for k, (_, h, mae, rmse, _, _) in enumerate(rows, start=1):
@@ -277,7 +270,7 @@ def test_weekly_average_nails_pure_daily_signal():
     graph = build_adjacency(synth_distances(4, seed=3), kappa=0.1)
     series = synth_generate(4, 10, graph, seed=3, congestion_rate=0.0, noise_std=0.0)
     train, _, test = split(series, "days", 7, 1, 2)
-    ha = M.HistoricalAverage(series.dt_seconds).fit(train)
+    ha = M.HistoricalAverage.fit(train)
     pred = ha.predict_at(test.timestamps())
     mask = np.isfinite(test.values).astype(float)
     mae, _, _, _ = M.masked_metrics(pred, test.values, mask)

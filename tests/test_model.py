@@ -3,6 +3,7 @@ scheduled-sampling plumbing, end-to-end gradients."""
 import numpy as np
 import pytest
 
+import dgcrn.conv as C
 import dgcrn.model as M
 from dgcrn import tensor as T
 from dgcrn.errors import ConfigError, DimensionError
@@ -116,25 +117,27 @@ def test_one_dynamic_graph_per_cell_step(monkeypatch):
     assert calls["n"] == 3 + 2
 
 
-# T.matmul and T.scaled_add calls in one cell step of an unfolded cell, whose
-# convolutions each fold their own weights, at hops = hyper_hops = 2. A
-# mixing coefficient of exactly 0 adds no term: beta 0 drops the generator
-# and the dynamic diffusions, gamma 0 the static ones (the hyper-networks
-# then diffuse nothing and make only X U_0), and alpha 0 the skip term, so
-# U_k is W_k itself. Each convolution makes one scaled_add per hop that diffuses,
-# summing the hop's projection and its diffusions as one node, plus K to
-# build U_0..U_{K-1} when alpha is not 0: 4 per gate and 4 per hyper-network
-# (2 with gamma 0, where a hyper-network's U list is built but only U_0 used).
-@pytest.mark.parametrize("overrides,matmuls,scaled_adds", [
-    ({}, 56, 32),
-    ({"alpha_mix": 0.0}, 56, 16),
-    ({"beta_mix": 0.0}, 30, 24),
-    ({"gamma_mix": 0.0}, 36, 28),
-    ({"filter_mode": "frozen"}, 44, 24),
-    ({"hypernet": "affine"}, 46, 24),
-    ({"filter_mode": "matmul"}, 58, 32),
+# T.matmul and T.scaled_add calls, and Horner weights U_k that conv.fold
+# builds, in one cell step of an unfolded cell, whose convolutions each fold
+# their own weights, at hops = hyper_hops = 2. A mixing coefficient of
+# exactly 0 adds no term: beta 0 drops the generator and the dynamic
+# diffusions, gamma 0 the static ones (the hyper-networks then diffuse
+# nothing and make only X U_0), and alpha 0 the skip term, so U_k is W_k
+# itself and fold builds none. Each convolution makes one scaled_add per hop
+# that diffuses, summing the hop's projection and its diffusions as one
+# node: 2 per gate and 2 per hyper-network (0 with gamma 0). When alpha is
+# not 0, fold builds U_0..U_{K-1}: 2 per convolution, hyper-networks with
+# gamma 0 included, whose U list is built but only U_0 used.
+@pytest.mark.parametrize("overrides,matmuls,scaled_adds,folded", [
+    ({}, 56, 16, 16),
+    ({"alpha_mix": 0.0}, 56, 16, 0),
+    ({"beta_mix": 0.0}, 30, 12, 12),
+    ({"gamma_mix": 0.0}, 36, 12, 16),
+    ({"filter_mode": "frozen"}, 44, 12, 12),
+    ({"hypernet": "affine"}, 46, 12, 12),
+    ({"filter_mode": "matmul"}, 58, 16, 16),
 ], ids=["full", "alpha0", "beta0", "gamma0", "frozen", "affine", "matmul"])
-def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_adds):
+def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_adds, folded):
     rng = np.random.default_rng(12)
     g = _graph(rng, 4)
     params = M.init_model(_tiny_hp(hyper_hops=2, **overrides), 4, seed=12,
@@ -151,15 +154,24 @@ def test_zero_coefficient_adds_no_term(monkeypatch, overrides, matmuls, scaled_a
 
     for name in calls:
         monkeypatch.setattr(T, name, counting(name))
+    real_fold = C.fold
+
+    def counting_fold(p):
+        q = real_fold(p)
+        calls["folded"] += 0 if q is p else len(p.hop_weights) - 1
+        return q
+
+    calls["folded"] = 0
+    monkeypatch.setattr(C, "fold", counting_fold)
     M.cell_step(T.Tensor(rng.normal(size=(2, 4, 2))), T.Tensor(rng.normal(size=(2, 4, 4))),
                 g, params.encoder)
-    assert calls == {"matmul": matmuls, "scaled_add": scaled_adds}
+    assert calls == {"matmul": matmuls, "scaled_add": scaled_adds, "folded": folded}
 
 
 @pytest.mark.parametrize("p_len,q_len", [(1, 1), (3, 2), (5, 4)])
 def test_horner_weights_built_once_per_forward(monkeypatch, p_len, q_len):
     # encode and decode each build their cell's U_0..U_{K-1} once, so every
-    # hop weight below the top one starts exactly one scaled_add per forward,
+    # hop weight below the top one has its U built exactly once per forward,
     # however many cell steps run
     rng = np.random.default_rng(15)
     g = _graph(rng, 3)
@@ -167,14 +179,18 @@ def test_horner_weights_built_once_per_forward(monkeypatch, p_len, q_len):
                           seed=15, dtype=np.float64)
     names = {id(t): name for name, t in M.named_parameters(params)}
     built = []
-    real = T.scaled_add
+    real = C.fold
 
-    def recording(a, *rest):
-        if id(a) in names:
-            built.append(names[id(a)])
-        return real(a, *rest)
+    def recording(p):
+        q = real(p)
+        if q is not p:
+            built.extend(names[id(w)] for w in p.hop_weights[:-1])
+        return q
 
-    monkeypatch.setattr(T, "scaled_add", recording)
+    # model folds each cell through its own binding; a convolution run on
+    # unfolded weights would fold through conv's
+    monkeypatch.setattr(C, "fold", recording)
+    monkeypatch.setattr(M, "fold", recording)
     x = T.Tensor(rng.normal(size=(2, p_len, 3, 2)))
     tod = T.Tensor(rng.uniform(0, 1, (2, q_len, 3, 1)))
     M.decode(M.encode(x, g, params), tod, g, params)
