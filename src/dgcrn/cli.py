@@ -206,13 +206,12 @@ def _cmd_build_graph(args, cfg, out):
     return None, [src], [path]
 
 
-def _fit_run(cfg, args):
-    """Load data and graph, build the dataset, init the model and fit it."""
+def _fit_run(cfg, args, series):
+    """Load the graph, build the dataset from `series`, init the model and fit it."""
     from . import model as M
     from . import training as TR
     from .data import build_dataset
 
-    series = _load_series(cfg)
     graph = _load_graph(cfg)
     dataset = build_dataset(series, cfg.model.input_len, cfg.model.output_len,
                             cfg.data.split, cfg.data.train, cfg.data.val,
@@ -221,7 +220,7 @@ def _fit_run(cfg, args):
                           dtype=_dtype(args))
     history, best_val = TR.fit(params, graph, dataset, cfg.train,
                                progress=None if args.quiet else _progress)
-    return series, graph, dataset, params, history, best_val
+    return graph, dataset, params, history, best_val
 
 
 def _save_run(out, ablation, params, dataset, history, best_val):
@@ -240,7 +239,7 @@ def _save_run(out, ablation, params, dataset, history, best_val):
 
 
 def _cmd_train(args, cfg, out):
-    _, _, dataset, params, history, best_val = _fit_run(cfg, args)
+    _, dataset, params, history, best_val = _fit_run(cfg, args, _load_series(cfg))
     ckpt_path, log_path = _save_run(out, args.ablation or "", params, dataset, history, best_val)
     print("best val MAE %.4f after %d epochs; wrote %s"
           % (best_val, len(history), ckpt_path))
@@ -349,16 +348,17 @@ def _cmd_bench(args, cfg, out):
     from . import training as TR
     from .data import split
 
-    # a bad --horizons must fail before training, not after it
+    # a bad --horizons, or a clock the weekly baseline cannot use, must fail
+    # before training, not after it
     horizons = _resolve_horizons(args.horizons, cfg.eval.horizons, cfg.model.output_len)
-    series, graph, dataset, params, history, best_val = _fit_run(cfg, args)
-    samples = getattr(dataset, cfg.eval.split)
-    _, rows = TR.evaluate(params, graph, samples, dataset.stats,
-                          batch_size=cfg.eval.batch_size, model_name="DGCRN")
-
+    series = _load_series(cfg)
     seg_train, _, _ = split(series, cfg.data.split, cfg.data.train,
                             cfg.data.val, cfg.data.test)
     ha = MT.HistoricalAverage.fit(seg_train)
+    graph, dataset, params, history, best_val = _fit_run(cfg, args, series)
+    samples = getattr(dataset, cfg.eval.split)
+    _, rows = TR.evaluate(params, graph, samples, dataset.stats,
+                          batch_size=cfg.eval.batch_size, model_name="DGCRN")
     rows += MT.per_horizon_metrics("HA", ha.predict_at(samples.target_ts),
                                    samples.y, samples.mask)
     rows += MT.per_horizon_metrics(

@@ -55,8 +55,12 @@ class AppConfig:
         if d.split not in ("ratio", "days"):
             raise ConfigError("data.split must be ratio or days; got %r" % d.split)
         for name in ("train", "val", "test"):
-            if not getattr(d, name) > 0:
+            share = getattr(d, name)
+            if not share > 0:
                 raise ConfigError("data.%s must be positive" % name)
+            if d.split == "days" and not float(share).is_integer():
+                raise ConfigError("data.%s must be a whole number of days when data.split"
+                                  " is days; got %r" % (name, share))
         if not 0.0 < d.kappa < 1.0:
             raise ConfigError("data.kappa must lie in (0, 1); got %r" % d.kappa)
         if d.n_nodes < 2:

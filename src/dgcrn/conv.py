@@ -17,9 +17,11 @@ weights U and no skip term,
 
 and `fold` returns that alpha-0 form. `dgconv_forward` folds its
 parameters and evaluates the sum in Horner form, each hop (X U_k plus all
-its diffusion terms) one tape node. A hop scales its diffusion products
-in place and sums into the first (`T.scaled_add` overwrites its terms), so
-it allocates its products and nothing else. Folding an alpha-0
+its diffusion terms) one tape node. A hop hands `T.scaled_add` its
+projection X U_k and a lazy iterable of its diffusion terms: each product
+is scaled in place, summed into X U_k and dropped before the next is
+formed, so a hop allocates its products and nothing else, and holds at
+most one of them at a time. Folding an alpha-0
 convolution returns it unchanged, so `model.encode` and `model.decode`
 fold their cell once per forward and a forward records the U_i once, not
 P+Q times. The matmul count is that of the hop-by-hop form,
@@ -94,7 +96,7 @@ def dgconv_forward(h_in, supports, p: ConvParams):
     out = T.matmul(h_in, us[-1])
     for u in us[-2::-1]:
         # X U_k + sum_j c_j A_j out as one tape node
-        out = T.scaled_add(T.matmul(h_in, u), [(c, T.matmul(a, out)) for c, a in supports])
+        out = T.scaled_add(T.matmul(h_in, u), ((c, T.matmul(a, out)) for c, a in supports))
     return out
 
 

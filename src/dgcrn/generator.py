@@ -60,15 +60,15 @@ def hyper_forward(inp, static_fwd, params: HyperNetParams):
 
 
 def dynamic_embeddings(df_src, df_tgt, params: GeneratorParams):
-    """Modulate the embedding tables with the dynamic filters.
+    """Modulate the embedding tables with the dynamic filters; yields DE1, then DE2.
 
     hadamard mode: DE = tanh(alpha_sat * (DF (*) E)) with DF of shape B x N x D_e.
     matmul mode: DF carries D_e^2 features per node, reshaped to a per-node
-    matrix acting on the embedding row.
+    matrix acting on the embedding row. The pair is lazy: once it is
+    unpacked, it holds neither filter.
     """
-    de1 = _modulate(df_src, params.emb_src, params)
-    de2 = _modulate(df_tgt, params.emb_tgt, params)
-    return de1, de2
+    yield _modulate(df_src, params.emb_src, params)
+    yield _modulate(df_tgt, params.emb_tgt, params)
 
 
 def _modulate(df, emb, params: GeneratorParams):
@@ -82,8 +82,8 @@ def _modulate(df, emb, params: GeneratorParams):
     return T.tanh_product(df, emb, params.alpha_sat)
 
 
-def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
-    """Directed adjacency from modulated embeddings.
+def dynamic_adjacency(des, alpha_sat: float) -> DynamicGraph:
+    """Directed adjacency from the modulated embeddings des = (DE1, DE2).
 
     raw = ReLU(tanh(alpha_sat * (DE1 DE2^T - DE2 DE1^T))). The two products
     are computed separately, so the argument is antisymmetric only as far as
@@ -92,13 +92,18 @@ def dynamic_adjacency(de_src, de_tgt, alpha_sat: float) -> DynamicGraph:
     one direction of each pair survives the ReLU. In float64 at N=207,
     D_e=40 it does not: the argument plus its transpose has entries a few
     ulps from zero, so a pair whose weight is within rounding of zero may
-    keep both directions. Computing one product M and using M - M^T makes
-    the antisymmetry exact; it is ROADMAP item 5, and it changes the number
-    of matmuls per cell step.
+    keep both directions. Computing one product M and using M - M^T would
+    make the antisymmetry exact, with one matmul less per cell step.
+
+    `des` may be lazy (`dynamic_embeddings`); embeddings that nothing else
+    holds (no rule under `no_grad`) are then freed after the two products,
+    before the activation.
     """
-    # no rule reads the two products, so they are freed before normalizing
-    raw = T.relu_tanh_diff(T.matmul(de_src, de_tgt.mT), T.matmul(de_tgt, de_src.mT),
-                           alpha_sat)
+    de_src, de_tgt = des
+    prods = T.matmul(de_src, de_tgt.mT), T.matmul(de_tgt, de_src.mT)
+    del de_src, de_tgt
+    raw = T.relu_tanh_diff(*prods, alpha_sat)
+    del prods  # no rule reads the two products, so they are freed before normalizing
     return DynamicGraph(
         raw=raw,
         normalized=T.self_loop_normalize(raw),
@@ -111,15 +116,17 @@ def generate(inp, static_fwd, params: GeneratorParams) -> DynamicGraph:
 
     inp: B x N x D_in, with N the embedding tables' row count; static_fwd:
     the static forward supports the hyper-network convolutions diffuse over.
+    Only the lazy embedding pair holds the filters, so under `no_grad`
+    they are freed before the DE DE^T products.
     """
     b, n = inp.shape[:2]
     if params.filter_mode == "frozen":
         d_e = params.emb_src.shape[1]
         # constant all-ones filters run through the ordinary batched path
-        df = T.ones((b, n, d_e), dtype=params.emb_src.dtype)
-        df_src = df_tgt = df
+        df_src = df_tgt = T.ones((b, n, d_e), dtype=params.emb_src.dtype)
     else:
         df_src = hyper_forward(inp, static_fwd, params.hyper_src)
         df_tgt = hyper_forward(inp, static_fwd, params.hyper_tgt)
-    de1, de2 = dynamic_embeddings(df_src, df_tgt, params)
-    return dynamic_adjacency(de1, de2, params.alpha_sat)
+    des = dynamic_embeddings(df_src, df_tgt, params)
+    del df_src, df_tgt
+    return dynamic_adjacency(des, params.alpha_sat)

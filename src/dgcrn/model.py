@@ -248,20 +248,23 @@ def _fold_cell(cell: CellParams) -> CellParams:
 def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     """One recurrent update. x_t: B x N x 2, h_prev: B x N x h.
 
-    Returns the new hidden state and, for diagnostics, the dynamic graph
-    used (None when the cell has no generator); `encode` and `decode` drop
-    the graph at once, so that under `no_grad` a step's three B x N x N
-    arrays are freed before the next step builds its own. Within the step
-    each temporary goes at its last use: `xh` once the reset gate is built
-    and `r` once `[x, r*h]` is, before the candidate gate runs. The shapes
-    are those `encode` and `decode` checked when the batch entered the model.
+    Returns the new hidden state and, for diagnostics, the dynamic graph's
+    normalized (forward, backward) pair, or None when the cell has no
+    generator; `encode` and `decode` drop the pair at once, so that under
+    `no_grad` a step's B x N x N arrays are freed before the next step
+    builds its own. Within the step each temporary goes at its last use:
+    the supports are built straight from `generate`'s result, so the raw
+    graph is freed before the gates run, `xh` goes once the reset gate is
+    built and `r` once `[x, r*h]` is, before the candidate gate runs. The
+    shapes are those `encode` and `decode` checked when the batch entered
+    the model.
     """
     # [speed, time-of-day, hidden]: the generator and the z/r gates read it
     xh = T.concat([x_t, h_prev], axis=-1)
     # the hyper-networks diffuse over the static forward graph only
     static_fwd, _ = supports(graph, None, cell.beta_mix, cell.gamma_mix, xh.dtype)
-    dyn = None if cell.gen is None else generate(xh, static_fwd, cell.gen)
-    fwd, bwd = supports(graph, dyn, cell.beta_mix, cell.gamma_mix, xh.dtype)
+    fwd, bwd = supports(graph, None if cell.gen is None else generate(xh, static_fwd, cell.gen),
+                        cell.beta_mix, cell.gamma_mix, xh.dtype)
     z = T.sigmoid(dual_dgconv(xh, fwd, bwd, cell.theta_z))
     r = T.sigmoid(dual_dgconv(xh, fwd, bwd, cell.theta_r))
     del xh
@@ -270,7 +273,8 @@ def cell_step(x_t, h_prev, graph, cell: CellParams, step_label: str = "step"):
     h_cand = T.tanh(dual_dgconv(xrh, fwd, bwd, cell.theta_h))
     h_t = T.gru_update(z, h_prev, h_cand)
     T.assert_finite(h_t, "%s: hidden state" % step_label)
-    return h_t, dyn
+    # the dynamic graph leads both support lists
+    return h_t, None if cell.gen is None else (fwd[0][1], bwd[0][1])
 
 
 def encode(x_seq, graph, params: ModelParams):

@@ -236,6 +236,7 @@ class _Node:
 
     __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "_data")
     requires_grad = True
+    _node = None  # a node stands for itself as an op's parent
 
     def __init__(self, data: np.ndarray, parents: tuple, rules: tuple):
         self.grad = None
@@ -318,28 +319,32 @@ def absolute(t: Tensor) -> Tensor:
 # the tape keeps only what the rules read, not every intermediate. An op
 # (these and `sigmoid`) may work in place on arrays it allocated itself,
 # never on an output gradient, and on an input only where its contract says
-# so: `scaled_add` overwrites its terms, never its first input.
+# so: `scaled_add` overwrites its first input and its terms.
 
 
 def scaled_add(a: Tensor, terms) -> Tensor:
     """a + sum_j c_j*b_j over (c_j, b_j) terms, summed left to right: one hop's
     diffusion terms in a convolution.
 
-    Each b_j's array is scratch: it is scaled in place, and the sum lands in
-    the first one of the output's shape, so a hop allocates nothing for its
-    sum. A caller passes as terms only arrays it made for this call and that
-    nothing else reads (no rule reads a product); `a` is never written.
+    Every array is scratch: each b_j is scaled in place and added into a's
+    array, which becomes the output, so a hop allocates nothing for its sum.
+    `terms` may be lazy: once a term is summed, only its tape node is kept,
+    so a term that nothing else holds is freed before the next one is
+    formed. A caller passes only arrays it made for this call and that
+    nothing else reads (no rule reads a projection or a product).
     """
     data, parents, rules = a.data, [a], [_identity]
     for c, b in terms:
         c = np.asarray(c, dtype=b.data.dtype)
         prod = np.multiply(b.data, c, out=b.data)
         if data.shape == prod.shape and data.dtype == prod.dtype:
-            data = np.add(data, prod, out=prod if data is a.data else data)
+            data = np.add(data, prod, out=data)
         else:
             data = data + prod
-        parents.append(b)
-        rules.append(lambda g, c=c: g * c)
+        if b.requires_grad:
+            parents.append(b if b._node is None else b._node)
+            rules.append(lambda g, c=c: g * c)
+        del b, prod
     return _from_op(data, tuple(parents), tuple(rules))
 
 

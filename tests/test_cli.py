@@ -435,6 +435,26 @@ def test_bench_rejects_bad_horizons_before_training(workdir, tmp_path, monkeypat
     assert not (out / "checkpoint.ckpt").exists()
 
 
+def test_bench_rejects_weekless_clock_before_training(workdir, tmp_path, monkeypatch, capsys):
+    # the weekly baseline needs a clock that divides a week; 13 s does not
+    def no_fit(*args, **kwargs):
+        raise AssertionError("bench trained before checking the clock")
+
+    monkeypatch.setattr(TR, "fit", no_fit)
+    values = np.random.default_rng(0).uniform(20.0, 70.0, (200, 6))
+    speeds = tmp_path / "speeds.csv"
+    D.write_speed_csv(SpeedSeries(values, 13, 0), speeds)
+    cfg = tmp_path / "bench.yaml"
+    cfg.write_text((workdir["root"] / "train.yaml").read_text(encoding="utf-8").replace(
+        str(workdir["data"] / "speeds.bin"), str(speeds)), encoding="utf-8")
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg), "--seed", "1",
+                 "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: dt_seconds must divide a week; got 13"]
+    assert not (out / "checkpoint.ckpt").exists()
+
+
 def test_eval_of_bench_checkpoint_matches_bench_report(workdir, tmp_path, capsys):
     benched, evaluated = tmp_path / "bench", tmp_path / "ev"
     assert main(["bench", "--config", workdir["cfg"], "--seed", "1",

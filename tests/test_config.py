@@ -164,6 +164,25 @@ def test_validate_rejects_bad_values():
             cfg.validate()
 
 
+def test_day_split_needs_whole_days():
+    # data.split truncates day counts, so a fractional one must fail here
+    for name in ("train", "val", "test"):
+        cfg = default_config()
+        cfg.data.split = "days"
+        cfg.data.train, cfg.data.val, cfg.data.test = 14.0, 2, 4
+        setattr(cfg.data, name, 2.5)
+        with pytest.raises(ConfigError, match=r"data\.%s must be a whole number of days" % name):
+            cfg.validate()
+        setattr(cfg.data, name, float("inf"))
+        with pytest.raises(ConfigError, match=r"data\.%s must be a whole" % name):
+            cfg.validate()
+        setattr(cfg.data, name, 3.0)
+        cfg.validate()
+    cfg = default_config()  # ratio shares are fractions
+    assert cfg.data.split == "ratio" and not float(cfg.data.train).is_integer()
+    cfg.validate()
+
+
 # every float range check, with the key its message names
 @pytest.mark.parametrize("section, key", [
     ("model", "alpha_sat"), ("train", "learning_rate"), ("train", "grad_clip_norm"),

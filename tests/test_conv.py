@@ -26,7 +26,7 @@ def _params(rng, d_in, d_out, k, alpha):
 def _random_dyn(rng, b, n, d_e=3, alpha_sat=2.0):
     de1 = T.Tensor(rng.normal(size=(b, n, d_e)), requires_grad=True)
     de2 = T.Tensor(rng.normal(size=(b, n, d_e)), requires_grad=True)
-    return dynamic_adjacency(de1, de2, alpha_sat), de1, de2
+    return dynamic_adjacency((de1, de2), alpha_sat), de1, de2
 
 
 def test_hand_example_two_nodes():
@@ -54,7 +54,7 @@ def test_identity_propagation_with_empty_dynamic_graph():
     # de1 == de2 makes raw = 0, so the normalized dynamic graph is I
     rng = np.random.default_rng(1)
     de = T.Tensor(rng.normal(size=(2, 3, 2)))
-    dyn = dynamic_adjacency(de, de, 1.5)
+    dyn = dynamic_adjacency((de, de), 1.5)
     assert np.array_equal(dyn.normalized.data, np.broadcast_to(np.eye(3), (2, 3, 3)))
     g = _uniform_graph(3)
     k = 2
@@ -114,7 +114,7 @@ def test_fold(k):
     g = StaticGraph(rng.uniform(0.05, 1.0, (4, 4)))
     h = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     # constant embeddings: backward frees the tape, so the graph must not be on it
-    dyn = dynamic_adjacency(*(T.Tensor(rng.normal(size=(2, 4, 3))) for _ in range(2)), 2.0)
+    dyn = dynamic_adjacency([T.Tensor(rng.normal(size=(2, 4, 3))) for _ in range(2)], 2.0)
     probe = T.Tensor(rng.normal(size=(2, 4, 2)))
     leaves = [h] + p.hop_weights
     for alpha in (0.0, 0.05):
@@ -176,7 +176,7 @@ def test_matches_reference_evaluator(seed, subset):
               for _ in range(k + 1)]
         h = T.Tensor(rng.normal(size=(b, n, d_in)).astype(dtype))
         de1, de2 = (T.Tensor(rng.normal(size=(b, n, 3)).astype(dtype)) for _ in range(2))
-        dyn = dynamic_adjacency(de1, de2, 2.0)
+        dyn = dynamic_adjacency((de1, de2), 2.0)
         fwd, bwd = supports(g, dyn, beta, gamma, dtype)
         assert len(fwd) == len(bwd) == (beta != 0.0) + (gamma != 0.0)
         stat_f, stat_b = g.norm_pair(dtype)
@@ -235,7 +235,7 @@ def test_symmetric_graph_directions_coincide():
     a = rng.uniform(0.1, 1.0, (n, n))
     g = StaticGraph(a + a.T)
     de = T.Tensor(rng.normal(size=(1, n, 2)))
-    dyn = dynamic_adjacency(de, de, 1.0)  # raw = 0
+    dyn = dynamic_adjacency((de, de), 1.0)  # raw = 0
     p = _params(rng, 2, 2, 1, 0.05)
     x = T.Tensor(rng.normal(size=(1, n, 2)))
     fwd, bwd = supports(g, dyn, 0.95, 0.95, x.dtype)
@@ -257,7 +257,7 @@ def test_gradients_match_fd(seed):
     probe = T.Tensor(rng.normal(size=(b, n, d_out)))
 
     def build():
-        dyn = dynamic_adjacency(de1, de2, 2.0)
+        dyn = dynamic_adjacency((de1, de2), 2.0)
         fwd, bwd = supports(g, dyn, 0.5, 0.4, h.dtype)
         return (dual_dgconv(h, fwd, bwd, (pf, pb)) * probe).sum()
 

@@ -130,7 +130,7 @@ def test_embeddings_matmul_mode_matches_per_node_loop():
 def test_equal_embeddings_cancel_to_identity():
     rng = np.random.default_rng(3)
     de = T.Tensor(rng.normal(size=(2, 4, 3)))
-    dyn = dynamic_adjacency(de, de, 2.0)
+    dyn = dynamic_adjacency((de, de), 2.0)
     assert not np.any(dyn.raw.data)
     assert np.array_equal(dyn.normalized.data, np.broadcast_to(np.eye(4), (2, 4, 4)))
 
@@ -138,7 +138,7 @@ def test_equal_embeddings_cancel_to_identity():
 def test_hand_example_one_directional():
     de1 = T.Tensor([[[1.0, 0.0], [0.0, 1.0]]])
     de2 = T.Tensor([[[1.0, 0.0], [1.0, 0.0]]])
-    dyn = dynamic_adjacency(de1, de2, 1.0)
+    dyn = dynamic_adjacency((de1, de2), 1.0)
     expect = np.array([[0.0, np.tanh(1.0)], [0.0, 0.0]])
     assert np.allclose(dyn.raw.data[0], expect, atol=1e-12)
 
@@ -150,7 +150,7 @@ def test_adjacency_invariants_random(seed):
     # modulated embeddings are tanh outputs, so magnitudes stay below 1
     de1 = T.Tensor(np.tanh(rng.normal(size=(b, n, d_e))))
     de2 = T.Tensor(np.tanh(rng.normal(size=(b, n, d_e))))
-    dyn = dynamic_adjacency(de1, de2, 3.0)
+    dyn = dynamic_adjacency((de1, de2), 3.0)
     raw = dyn.raw.data
     assert np.all((raw >= 0.0) & (raw < 1.0))
     assert np.all(np.diagonal(raw, axis1=-2, axis2=-1) == 0.0)

@@ -39,10 +39,16 @@ def test_zero_parameters_halve_hidden_state():
     _zero_all(params)
     h_prev = T.Tensor(rng.normal(size=(2, 3, 4)))
     x_t = T.Tensor(rng.normal(size=(2, 3, 2)))
-    h_t, dyn = M.cell_step(x_t, h_prev, g, params.encoder)
+    h_t, graphs = M.cell_step(x_t, h_prev, g, params.encoder)
     # z = r = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0
     assert np.allclose(h_t.data, 0.5 * h_prev.data, atol=1e-15)
-    assert dyn is not None
+    # zero embeddings generate no edge, so both normalized graphs are I
+    assert len(graphs) == 2
+    for norm in graphs:
+        assert np.array_equal(norm.data, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    # without a generator there is no dynamic graph to return
+    static_only = M.init_model(_tiny_hp(beta_mix=0.0), 3, seed=0, dtype=np.float64)
+    assert M.cell_step(x_t, h_prev, g, static_only.encoder)[1] is None
 
 
 def test_hidden_state_stays_bounded():

@@ -243,16 +243,16 @@ def test_fanout_accumulates_additively():
 def _fused_cases(dtype, seed=0):
     """(leaves, fused op, numpy expression the unfused chain of ops evaluates,
     numpy expressions of each parent's rule in that chain, given the output
-    gradient g and the output y). `scaled_add` overwrites its terms, so each
-    of its cases passes copies made per call (`scratch`) and reads the leaves
-    only through them."""
+    gradient g and the output y). `scaled_add` overwrites its first input and
+    its terms, so each of its cases passes copies made per call (`scratch`)
+    and reads the leaves only through them."""
     rng = np.random.default_rng(seed)
 
     def leaf(data):
         return T.Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
     def scratch(t):
-        return t * 1.0  # a fresh array, as the products a hop hands scaled_add
+        return t * 1.0  # a fresh array, as the arrays a hop hands scaled_add
 
     a, b = leaf(rng.uniform(-1, 1, (2, 4, 3))), leaf(rng.uniform(-1, 1, (2, 4, 3)))
     c = leaf(rng.uniform(-1, 1, (2, 4, 3)))
@@ -291,19 +291,22 @@ def _fused_cases(dtype, seed=0):
     wide = leaf(rng.uniform(-8, 8, (2, 4, 3)))
     wide.data[0, 0, :2] = (0.0, -0.0)
     return [
-        ([a, b], lambda: T.scaled_add(a, [(0.95, scratch(b))]),
+        ([a, b], lambda: T.scaled_add(scratch(a), [(0.95, scratch(b))]),
          lambda: a.data + b.data * beta, lambda g, y: [g, g * beta]),
         # one hop over two supports: its whole diffusion sum is one node
-        ([a, b, c], lambda: T.scaled_add(a, [(0.95, scratch(b)), (0.4, scratch(c))]),
+        ([a, b, c], lambda: T.scaled_add(scratch(a), [(0.95, scratch(b)), (0.4, scratch(c))]),
          lambda: a.data + b.data * beta + c.data * gamma,
          lambda g, y: [g, g * beta, g * gamma]),
-        # terms holding the first input's values: the sum must not land in it
-        ([a, a, a], lambda: T.scaled_add(a, [(0.95, scratch(a)), (0.4, scratch(a))]),
+        # every array a copy of one leaf
+        ([a, a, a], lambda: T.scaled_add(scratch(a), [(0.95, scratch(a)), (0.4, scratch(a))]),
          lambda: a.data + a.data * beta + a.data * gamma,
          lambda g, y: [g, g * beta, g * gamma]),
-        # a term that broadcasts against the first input
-        ([a, emb], lambda: T.scaled_add(a, [(0.95, scratch(emb))]),
+        # a term that broadcasts against the first input, and a first input
+        # that broadcasts against its term, so the sum needs a new array
+        ([a, emb], lambda: T.scaled_add(scratch(a), [(0.95, scratch(emb))]),
          lambda: a.data + emb.data * beta, lambda g, y: [g, g * beta]),
+        ([emb, a], lambda: T.scaled_add(scratch(emb), [(0.95, scratch(a))]),
+         lambda: emb.data + a.data * beta, lambda g, y: [g, g * beta]),
         ([a, b], lambda: T.relu_tanh_diff(a, b, 3.0),
          lambda: np.maximum(np.tanh((a.data - b.data) * alpha), 0), relu_tanh_rule),
         ([a, emb], lambda: T.tanh_product(a, emb, 3.0),
@@ -345,8 +348,8 @@ def test_fused_rules_are_bitwise_the_unfused_chain(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_ops_write_into_no_input(dtype):
     # inputs and output gradients are read-only, so a write into one raises;
-    # scaled_add may write only into its terms, the copies its cases make,
-    # and one case has every term holding its first input's values
+    # scaled_add may write only into its first input and its terms, the
+    # copies its cases make
     for leaves, op, expect, _ in _fused_cases(dtype):
         before = [t.data.copy() for t in leaves]
         for t in leaves:
@@ -387,9 +390,9 @@ def _hop_setup(rng, dtype, b=2, n=5, d_in=3, d=4):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_hop_is_bitwise_the_out_of_place_chain(monkeypatch, dtype):
     # one hop, out = a + c1*P1 + c2*P2 with a = X U_0 and P_j = A_j H for the
-    # previous hop's output H = X U_1, sums into P1: output and every gradient
-    # are the bits of the out-of-place chain, and it writes into neither a,
-    # the supports, H nor any leaf (read-only, so a write raises)
+    # previous hop's output H = X U_1, sums into a: output and every gradient
+    # are the bits of the out-of-place chain, and it writes into neither the
+    # supports, H nor any leaf (read-only, so a write raises)
     rng = np.random.default_rng(24)
     x, us, sups = _hop_setup(rng, dtype)
     leaves = [x] + us + [sups[0][1]]
@@ -414,8 +417,8 @@ def test_hop_is_bitwise_the_out_of_place_chain(monkeypatch, dtype):
 
     monkeypatch.setattr(T, "matmul", recording)
     out = conv.dgconv_forward(x, sups, conv.ConvParams(us, 0.0))
-    # H, a, P1, P2, in that order; the sum lives in P1
-    assert len(products) == 4 and out.data is products[2][0]
+    # H, a, P1, P2, in that order; the sum lives in a
+    assert len(products) == 4 and out.data is products[1][0]
     assert out.data.tobytes() == chain.data.tobytes()
     g = probe.data
     parents = [rule(g) for rule in out._backward]
@@ -424,13 +427,14 @@ def test_hop_is_bitwise_the_out_of_place_chain(monkeypatch, dtype):
     (out * probe).sum().backward()
     for t, w in zip(leaves, want):
         assert t.grad.dtype == dtype and t.grad.tobytes() == w.tobytes()
-    for arr, before in products[:2]:
-        assert arr.tobytes() == before.tobytes()
+    arr, before = products[0]
+    assert arr.tobytes() == before.tobytes()
 
 
 def test_no_grad_hop_allocates_no_array_per_diffusion_term():
     # one hop over two supports makes H = X U_1, X U_0 and one product per
-    # support, and sums into the first product: no scaled copy of any term
+    # support, and sums each product into X U_0, freeing it before the next
+    # is formed: no scaled copy of any term, and one product at a time
     x, us, sups = _hop_setup(np.random.default_rng(25), np.float64, b=8, n=96, d=64)
     p = conv.ConvParams(us, 0.0)
     with T.no_grad():
@@ -441,7 +445,31 @@ def test_no_grad_hop_allocates_no_array_per_diffusion_term():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert 4 * out.data.nbytes <= peak < 4.25 * out.data.nbytes
+    assert 3 * out.data.nbytes <= peak < 3.25 * out.data.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scaled_add_over_lazy_terms(dtype):
+    # terms from a generator, each formed only when the sum reaches it: the
+    # bits of the left-to-right sum, and gradients that match FD
+    rng = np.random.default_rng(26)
+    leaves = [T.Tensor(rng.uniform(-1, 1, (2, 4, 3)).astype(dtype), requires_grad=True)
+              for _ in range(4)]
+    coefs = (0.95, 0.4, 0.7)
+
+    def op():
+        return T.scaled_add(leaves[0] * 1.0,
+                            ((c, b * 1.0) for c, b in zip(coefs, leaves[1:])))
+
+    want = leaves[0].data
+    for c, b in zip(coefs, leaves[1:]):
+        want = want + b.data * np.asarray(c, dtype)
+    out = op()
+    assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+    assert len(out._parents) == len(out._backward) == 4
+    if dtype == np.float64:
+        weight = T.Tensor(rng.normal(size=out.shape))
+        _fd_check(lambda: (op() * weight).sum(), leaves, tol=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -656,10 +684,10 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
     # every product in dgconv_forward feeds only `scaled_add`, whose rules
     # read neither operand, except the first projection X U_K: it is the
     # first hop's diffusion operand, and the dynamic graph's rule reads it.
-    # A hop's sum lands in its first diffusion product, so that array lives
-    # on as the hop's output: hop 1's for hop 2's dynamic-graph rule, and
-    # hop 2's as the convolution's output. An operand whose partner needs a
-    # gradient stays for that partner's rule
+    # A hop's sum lands in its projection X U_k, so that array lives on as
+    # the hop's output: hop 1's X U_1 for hop 2's dynamic-graph rule, and
+    # hop 2's X U_0 as the convolution's output. An operand whose partner
+    # needs a gradient stays for that partner's rule
     rng = np.random.default_rng(22)
     n, b, d = 5, 2, 3
     graph = build_adjacency(synth_distances(n, seed=1), kappa=0.1)
@@ -683,8 +711,8 @@ def test_hop_recurrence_frees_every_product(monkeypatch):
     out = conv.dgconv_forward(_leaf(rng, (b, n, d)) * 1.0, fwd, params)
     # X U_2, then (X U_k, dynamic, static) per hop
     assert len(products) == 7
-    assert [i for i, r in enumerate(products) if r() is not None] == [0, 2, 5]
-    assert products[5]() is out.data
+    assert [i for i, r in enumerate(products) if r() is not None] == [0, 1, 4]
+    assert products[4]() is out.data
     assert all(r() is not None for r, read in operands if read)
     out.sum().backward()
     assert all(w.grad is not None for w in weights)

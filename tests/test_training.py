@@ -348,6 +348,93 @@ def test_no_grad_step_frees_each_temporary_at_its_last_use(monkeypatch):
     assert at_candidate == [(True, True, False)] * 6
 
 
+def test_no_grad_step_frees_its_raw_graph_before_the_gates(monkeypatch):
+    # under no_grad the supports hold only the normalized pair, so a step's
+    # raw graph is dead when its first gate convolution starts
+    params, graph, ds = _tiny_setup(hp_kw={"input_len": 3, "output_len": 3})
+    raws, at_first_gate = [], []
+    real_generate, real_conv = M.generate, M.dual_dgconv
+
+    def recording_generate(inp, static_fwd, gen):
+        dyn = real_generate(inp, static_fwd, gen)
+        raws.append(weakref.ref(dyn.raw.data))
+        return dyn
+
+    def conv(h_in, fwd, bwd, theta):
+        if len(at_first_gate) < len(raws):
+            at_first_gate.append(raws[-1]() is None)
+        return real_conv(h_in, fwd, bwd, theta)
+
+    monkeypatch.setattr(M, "generate", recording_generate)
+    monkeypatch.setattr(M, "dual_dgconv", conv)
+    TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats)
+    assert at_first_gate == [True] * 6
+
+
+def test_no_grad_hop_holds_one_diffusion_product_at_a_time(monkeypatch):
+    # under no_grad a hop sums each diffusion product into its projection
+    # X U_k and drops it, so no earlier product of the hop is alive when
+    # the next one is formed
+    n = 7  # only the graphs are N x N, so a product with one is a diffusion
+    params, graph, ds = _tiny_setup(n=n, hp_kw={"input_len": 3, "output_len": 3})
+    hop, alive_at_next = [], []
+    real_matmul = T.matmul
+
+    def matmul(x, y):
+        if x.shape[-2:] != (n, n):
+            hop.clear()  # a projection X U_k opens the next hop
+            return real_matmul(x, y)
+        if hop:
+            alive_at_next.append([r() is not None for r in hop])
+        out = real_matmul(x, y)
+        hop.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "matmul", matmul)
+    TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats)
+    # each gate hop diffuses over the dynamic and then the static graph
+    assert alive_at_next == [[False]] * (6 * 6)
+
+
+def test_no_grad_generator_frees_filters_and_embeddings_early(monkeypatch):
+    # under no_grad the hyper-network filters are dead before the two
+    # DE DE^T products, and the modulated embeddings before the activation
+    import dgcrn.generator as G
+
+    n = 7  # no other product of this model is N x N
+    params, graph, ds = _tiny_setup(n=n, hp_kw={"input_len": 3, "output_len": 3})
+    filters, embeddings, at_products, at_activation = [], [], [], []
+    real_hyper, real_modulate = G.hyper_forward, G._modulate
+    real_matmul, real_activation = T.matmul, T.relu_tanh_diff
+
+    def hyper(inp, static_fwd, hn):
+        out = real_hyper(inp, static_fwd, hn)
+        filters.append(weakref.ref(out.data))
+        return out
+
+    def modulate(df, emb, gen):
+        out = real_modulate(df, emb, gen)
+        embeddings.append(weakref.ref(out.data))
+        return out
+
+    def matmul(x, y):
+        if x.shape[-2] == y.shape[-1] == n and x.shape[-1] != n:
+            at_products.append([r() is None for r in filters[-2:]])
+        return real_matmul(x, y)
+
+    def activation(a, b, alpha):
+        at_activation.append([r() is None for r in filters[-2:] + embeddings[-2:]])
+        return real_activation(a, b, alpha)
+
+    for owner, name, fn in ((G, "hyper_forward", hyper), (G, "_modulate", modulate),
+                            (T, "matmul", matmul), (T, "relu_tanh_diff", activation)):
+        monkeypatch.setattr(owner, name, fn)
+    TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats)
+    assert len(filters) == len(embeddings) == 2 * 6
+    assert at_products == [[True, True]] * (2 * 6)
+    assert at_activation == [[True] * 4] * 6
+
+
 def test_evaluate_returns_overall_and_rows():
     params, graph, ds = _tiny_setup()
     (mae, rmse, mape, n), rows = TR.evaluate(params, graph, ds.val, ds.stats)
