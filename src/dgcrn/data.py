@@ -150,13 +150,14 @@ class SampleSet:
 
     x, y and mask are read-only stride-1 window views over one per-step
     array each, so they cost T x N memory, not S x window x N; index or
-    slice them to get a batch, and copy before writing.
+    slice them to get a batch, and copy before writing. The mask is bool,
+    one byte per step and node.
     """
 
     x: np.ndarray          # S x P x N x 2, speed channel normalized
     y: np.ndarray          # S x Q x N raw units, missing -> 0.0
     tod: np.ndarray        # S x Q target time-of-day in [0,1)
-    mask: np.ndarray       # S x Q x N, 1.0 observed / 0.0 missing
+    mask: np.ndarray       # S x Q x N bool, True observed / False missing
     target_ts: np.ndarray  # S x Q epoch seconds
 
     def __len__(self) -> int:
@@ -191,7 +192,7 @@ def make_windows(series: SpeedSeries, input_len: int, output_len: int,
     x = _sliding(steps, input_len)[:count]
     labels = slice(input_len, input_len + count)
     y = _sliding(np.nan_to_num(raw, nan=0.0), output_len)[labels]
-    mask = _sliding(np.isfinite(raw).astype(np.float64), output_len)[labels]
+    mask = _sliding(np.isfinite(raw), output_len)[labels]
     tod = _sliding(tod_all, output_len)[labels].copy()
     target_ts = _sliding(ts_all, output_len)[labels].copy()
     return SampleSet(x=x, y=y, tod=tod, mask=mask, target_ts=target_ts)

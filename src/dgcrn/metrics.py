@@ -1,6 +1,6 @@
 """Evaluation: masked error metrics, reference baselines, dataset analysis.
 
-All metrics average over observed entries only (mask 1.0); horizons with an
+All metrics average over observed entries only (mask true); horizons with an
 empty mask produce no row rather than a NaN row. MAPE is reported in
 percent.
 """
@@ -15,22 +15,33 @@ from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
 def masked_metrics(pred, truth, mask):
-    """(mae, rmse, mape_percent, n_observed) over mask>0, or None if empty."""
+    """(mae, rmse, mape_percent, n_observed) over mask>0, or None if empty.
+
+    Past the mask test it holds two compressed arrays: |err|, which gives
+    MAE, then MAPE as |err|/|truth| (= |err/truth|) in the truth copy, then
+    RMSE as |err|^2 (= err^2) in place.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64) > 0.0
+    m = np.asarray(mask) > 0
     if pred.shape != truth.shape or pred.shape != m.shape:
         raise DimensionError(
             "pred %r, truth %r, mask %r must share a shape"
             % (pred.shape, truth.shape, m.shape)
         )
-    n = int(m.sum())
+    n = int(np.count_nonzero(m))
     if n == 0:
         return None
-    err = pred[m] - truth[m]
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt(np.square(err).mean()))
-    mape = float(100.0 * np.abs(err / truth[m]).mean())
+    err = pred[m]
+    t = truth[m]
+    err -= t
+    np.abs(err, out=err)
+    mae = float(err.mean())
+    np.abs(t, out=t)
+    np.divide(err, t, out=t)
+    mape = float(100.0 * t.mean())
+    np.square(err, out=err)
+    rmse = float(np.sqrt(err.mean()))
     return mae, rmse, mape, n
 
 

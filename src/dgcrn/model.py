@@ -309,10 +309,13 @@ def readout(h, params: ModelParams):
     return out.reshape(h.shape[0], h.shape[1])
 
 
-def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
+def decode(h, time_seq, graph, params: ModelParams, teacher=None,
            sampling_prob: float = 0.0, horizon=None, rng=None):
-    """Roll the decoder forward from the encoder state.
+    """Roll the decoder forward from the encoder state h.
 
+    h is the running state: the first cell step replaces it, so under
+    `no_grad` the encoder state is freed then, unless the caller still
+    holds it (pass `decode(encode(...), ...)` to let it go).
     time_seq: B x Q x N x 1 target-step time-of-day. When sampling_prob > 0,
     one coin per step, drawn from rng, decides whether the whole batch takes
     its next input from teacher (B x Q x N labels in normalized units).
@@ -323,8 +326,7 @@ def decode(h_init, time_seq, graph, params: ModelParams, teacher=None,
         raise DimensionError("time_seq must be B x Q x N x 1; got %r" % (time_seq.shape,))
     b, q_len, n, _ = time_seq.shape
     horizon = q_len if horizon is None else horizon
-    h = h_init
-    prev_speed = T.zeros((b, n, 1), dtype=h_init.dtype)
+    prev_speed = T.zeros((b, n, 1), dtype=h.dtype)
     cell = _fold_cell(params.decoder)
     preds = []
     for q in range(horizon):

@@ -100,15 +100,16 @@ def masked_mae_loss(pred_norm, y_raw, mask, stats: NormStats):
     """Mean |error| in raw speed units over observed entries.
 
     pred_norm: tensor B x i x N in normalized units. y_raw, mask: arrays of
-    the same shape.
+    the same shape; an entry is observed where its mask is true (> 0).
     """
-    count = float(np.asarray(mask).sum())
+    observed = np.asarray(mask) > 0
+    count = float(np.count_nonzero(observed))
     if count == 0.0:
         raise DegenerateInputError("no observed labels in batch")
     dtype = pred_norm.data.dtype
     pred = pred_norm * float(stats.std) + float(stats.mean)
     diff = T.absolute(pred - T.Tensor(np.asarray(y_raw, dtype=dtype)))
-    masked = diff * T.Tensor(np.asarray(mask, dtype=dtype))
+    masked = diff * T.Tensor(observed.astype(dtype))
     return masked.sum() * (1.0 / count)
 
 
@@ -208,19 +209,28 @@ def train_step(params: ModelParams, graph, batch, stats: NormStats,
 
 def predict(params: ModelParams, graph, x, tod, stats: NormStats,
             batch_size: int = 64) -> np.ndarray:
-    """Raw-unit forecasts, S x Q x N, decoder always feeding itself."""
+    """Raw-unit forecasts, S x Q x N float64, decoder always feeding itself.
+
+    Each batch goes straight into `encode` and its final state straight
+    into `decode`, so under `no_grad` neither outlives the decoder's first
+    cell step. The batch outputs stay in the model's dtype until one
+    float64 array is built from them, which is denormalized in place.
+    """
     dtype = params.readout[0].data.dtype
     n = x.shape[2]
     outs = []
     with T.no_grad():
         for lo in range(0, x.shape[0], batch_size):
             hi = min(lo + batch_size, x.shape[0])
-            xb = T.Tensor(np.ascontiguousarray(x[lo:hi], dtype=dtype))
-            tb = _time_tensor(tod[lo:hi], n, dtype)
-            h = encode(xb, graph, params)
-            pred = decode(h, tb, graph, params)
-            outs.append(pred.data.astype(np.float64))
-    return normalize(np.concatenate(outs, axis=0), stats, direction="inverse")
+            pred = decode(
+                encode(T.Tensor(np.ascontiguousarray(x[lo:hi], dtype=dtype)), graph, params),
+                _time_tensor(tod[lo:hi], n, dtype), graph, params)
+            outs.append(pred.data)
+    out = np.concatenate(outs, axis=0, dtype=np.float64)
+    # normalize(out, stats, direction="inverse") without its two copies
+    out *= stats.std
+    out += stats.mean
+    return out
 
 
 def evaluate(params: ModelParams, graph, samples, stats: NormStats,

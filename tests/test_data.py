@@ -133,7 +133,8 @@ def test_make_windows_against_loop_reference():
     np.testing.assert_allclose(got.x, x, rtol=0, atol=0)
     np.testing.assert_allclose(got.y, y, rtol=0, atol=0)
     np.testing.assert_allclose(got.tod, tod, rtol=0, atol=0)
-    np.testing.assert_allclose(got.mask, mask, rtol=0, atol=0)
+    assert got.mask.dtype == bool
+    assert np.array_equal(got.mask, mask)  # True == 1.0, False == 0.0
     assert np.array_equal(got.target_ts, ts)
 
 
@@ -173,14 +174,15 @@ def test_make_windows_share_one_step_array():
         # window i+1 is window i moved one step along the same memory
         assert np.shares_memory(arr[0, 1:], arr[1, :-1])
         assert np.array_equal(arr[0, 1:], arr[1, :-1], equal_nan=True)
-    # each view spans one per-step array: T x N x 2 for x, T x N for y and mask
+    # each view spans one per-step array: T x N x 2 floats for x, T x N floats
+    # for y and T x N bools for the mask
     spans = {}
     for name in ("x", "y", "mask"):
         lo, hi = byte_bounds(getattr(out, name))
         spans[name] = hi - lo
     assert spans["x"] <= t * n * 2 * 8
-    assert spans["y"] <= t * n * 8 and spans["mask"] <= t * n * 8
-    copied = count * (2 * p + 2 * q) * n * 8  # bytes of x, y and mask as copies
+    assert spans["y"] <= t * n * 8 and spans["mask"] <= t * n
+    copied = count * ((2 * p + q) * 8 + q) * n  # bytes of x, y and mask as copies
     assert sum(spans.values()) * 5 < copied
 
 

@@ -1,4 +1,6 @@
 """Masked metrics, weekly-average and persistence baselines, analysis, reports."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,46 @@ def test_masked_metrics_matches_loop_reference():
         for g, w in zip(got[:3], want[:3]):
             assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
         assert got[3] == want[3]
+
+
+def _five_temporary_metrics(pred, truth, mask):
+    # masked_metrics as it was before it reused |err|: the bitwise reference
+    m = np.asarray(mask, dtype=np.float64) > 0.0
+    err = pred[m] - truth[m]
+    return (float(np.abs(err).mean()), float(np.sqrt(np.square(err).mean())),
+            float(100.0 * np.abs(err / truth[m]).mean()), int(m.sum()))
+
+
+def test_masked_metrics_is_bitwise_the_five_temporary_formula():
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        shape = (7, 3, 11)
+        truth = rng.uniform(10.0, 70.0, shape)
+        if trial % 2:
+            truth *= rng.choice([-1.0, 1.0], shape)  # |e/t| = |e|/|t| whatever t's sign
+        pred = truth + rng.normal(0.0, 5.0, shape)  # errors of both signs
+        observed = rng.random(shape) < rng.uniform(0.2, 0.9)
+        observed.flat[0] = True
+        want = _five_temporary_metrics(pred, truth, observed)
+        for mask in (observed, observed.astype(np.float64)):
+            assert M.masked_metrics(pred, truth, mask) == want
+
+
+def test_masked_metrics_holds_two_compressed_arrays():
+    # past the bool mask it holds |err| and one truth copy, not five arrays
+    rng = np.random.default_rng(7)
+    size = 10**6
+    pred = rng.uniform(10.0, 70.0, size)
+    truth = rng.uniform(10.0, 70.0, size)
+    for mask in (rng.random(size) < 0.9, (rng.random(size) < 0.9).astype(np.float64)):
+        n = int(np.count_nonzero(mask))
+        tracemalloc.start()
+        try:
+            M.masked_metrics(pred, truth, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n + size + 64 * 1024, (mask.dtype, peak)
 
 
 def test_masked_metrics_empty_and_mismatch():

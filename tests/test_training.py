@@ -9,7 +9,8 @@ import pytest
 from dgcrn import model as M
 from dgcrn import tensor as T
 from dgcrn import training as TR
-from dgcrn.data import NormStats, SpeedSeries, build_dataset, synth_distances, synth_generate
+from dgcrn.data import (NormStats, SpeedSeries, build_dataset, normalize, synth_distances,
+                        synth_generate)
 from dgcrn.errors import ConfigError, DegenerateInputError, NumericError
 from dgcrn.graphs import build_adjacency
 from dgcrn.model import HyperParams, init_model, named_parameters
@@ -17,7 +18,7 @@ from dgcrn.model import HyperParams, init_model, named_parameters
 from oracles import adam_ref
 
 
-def _tiny_setup(seed=0, n=3, hp_kw=None, t=60):
+def _tiny_setup(seed=0, n=3, hp_kw=None, t=60, dtype=np.float32):
     graph = build_adjacency(synth_distances(n, seed=5), kappa=0.1)
     rng = np.random.default_rng(seed)
     series = SpeedSeries(rng.uniform(20.0, 60.0, (t, n)), 300, 0)
@@ -26,7 +27,7 @@ def _tiny_setup(seed=0, n=3, hp_kw=None, t=60):
     kw.update(hp_kw or {})
     hp = HyperParams(**kw)
     ds = build_dataset(series, hp.input_len, hp.output_len, "ratio", 0.7, 0.1, 0.2)
-    params = init_model(hp, n, seed=seed)
+    params = init_model(hp, n, seed=seed, dtype=dtype)
     return params, graph, ds
 
 
@@ -140,6 +141,23 @@ def test_masked_mae_loss_hand_value():
     # d|50-40|/dpred_norm = sign * std / count
     assert pred.grad[0, 0, 0] == pytest.approx(10.0)
     assert pred.grad[0, 0, 1] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_mae_loss_reads_bool_and_float_masks_alike(dtype):
+    rng = np.random.default_rng(4)
+    stats = NormStats(mean=45.0, std=12.0)
+    y = rng.uniform(20.0, 70.0, (3, 2, 5))
+    observed = rng.random(y.shape) < 0.6
+    observed[0, 0, 0] = True
+    pred_norm = rng.normal(size=y.shape).astype(dtype)
+    got = []
+    for mask in (observed, observed.astype(np.float64)):
+        pred = T.Tensor(pred_norm.copy(), requires_grad=True)
+        loss = TR.masked_mae_loss(pred, y, mask, stats)
+        loss.backward()
+        got.append((loss.data.tobytes(), pred.grad.tobytes()))
+    assert got[0] == got[1]
 
 
 def test_masked_mae_loss_empty_mask():
@@ -285,6 +303,56 @@ def test_predict_frees_encoder_states_before_decoding(monkeypatch):
     TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats)
     assert len(states) == 4
     assert alive == [0]
+
+
+def test_predict_frees_batch_and_encoder_state_in_the_decoder(monkeypatch):
+    # predict hands the batch straight to encode and the final state straight
+    # to decode, so at the decoder's first step only the state is alive and
+    # from its second step on neither is
+    params, graph, ds = _tiny_setup(hp_kw={"input_len": 3, "output_len": 3}, t=100)
+    batch, state, dead = [], [], []
+    real_step = M.cell_step
+
+    def recording_step(x_t, h, g, cell, where="step"):
+        if where.startswith("encoder"):
+            batch.append(weakref.ref(x_t.data.base))  # x_t views one step of the batch
+        else:
+            dead.append((batch[-1]() is None, state[-1]() is None))
+        h_new, dyn = real_step(x_t, h, g, cell, where)
+        if where.startswith("encoder"):
+            state.append(weakref.ref(h_new.data))
+        return h_new, dyn
+
+    monkeypatch.setattr(M, "cell_step", recording_step)
+    TR.predict(params, graph, ds.val.x[:2], ds.val.tod[:2], ds.stats, batch_size=1)
+    assert len(batch) == 2 * 3
+    assert dead == [(True, False), (True, True), (True, True)] * 2
+
+
+def _predict_reference(params, graph, x, tod, stats, batch_size):
+    # predict as it was before it built one float64 array: a float64 copy of
+    # each batch's forecasts, their concatenation, then normalize
+    dtype = params.readout[0].data.dtype
+    outs = []
+    with T.no_grad():
+        for lo in range(0, x.shape[0], batch_size):
+            xb = T.Tensor(np.ascontiguousarray(x[lo:lo + batch_size], dtype=dtype))
+            tb = TR._time_tensor(tod[lo:lo + batch_size], x.shape[2], dtype)
+            pred = M.decode(M.encode(xb, graph, params), tb, graph, params)
+            outs.append(pred.data.astype(np.float64))
+    return normalize(np.concatenate(outs, axis=0), stats, direction="inverse")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_is_bitwise_the_per_batch_reference(dtype):
+    params, graph, ds = _tiny_setup(t=100, dtype=dtype)
+    x, tod = ds.test.x, ds.test.tod
+    assert len(x) % 7 == 3  # batches of 7 leave a ragged last one
+    want = _predict_reference(params, graph, x, tod, ds.stats, 64)
+    for batch_size in (64, 7):
+        got = TR.predict(params, graph, x, tod, ds.stats, batch_size)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), batch_size
 
 
 def test_no_grad_step_frees_its_graph_before_the_next(monkeypatch):
