@@ -88,14 +88,10 @@ class NormStats:
         return cls(mean=float(obs.mean()), std=std)
 
 
-def normalize(x, stats: NormStats, direction: str = "forward") -> np.ndarray:
+def normalize(x, stats: NormStats) -> np.ndarray:
     """Z-score transform; NaN sentinels pass through untouched."""
     x = np.asarray(x, dtype=np.float64)
-    if direction == "forward":
-        return (x - stats.mean) / stats.std
-    if direction == "inverse":
-        return x * stats.std + stats.mean
-    raise ConfigError("direction must be 'forward' or 'inverse'; got %r" % (direction,))
+    return (x - stats.mean) / stats.std
 
 
 # -- splitting ----------------------------------------------------------------------

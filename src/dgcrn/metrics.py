@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WEEK_SECONDS, SpeedSeries, exact_header, normalize, read_csv, write_csv
+from .data import WEEK_SECONDS, SpeedSeries, exact_header, read_csv, write_csv
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
@@ -105,7 +105,7 @@ class HistoricalAverage:
 def persistence_forecast(x, stats, output_len: int) -> np.ndarray:
     """Repeat the last input reading: x is S x P x N x 2 with a normalized
     speed channel; returns S x Q x N in raw units."""
-    last = normalize(x[:, -1, :, 0], stats, direction="inverse")
+    last = x[:, -1, :, 0] * stats.std + stats.mean
     return np.repeat(last[:, None, :], output_len, axis=1)
 
 
@@ -142,6 +142,9 @@ def _pairwise_correlations(values):
 
 def analyze_dataset(series: SpeedSeries, graph=None) -> dict:
     """Summary statistics used by the analyze command."""
+    if graph is not None and graph.n_nodes != series.n_nodes:
+        raise DimensionError("graph has %d nodes, series has %d"
+                             % (graph.n_nodes, series.n_nodes))
     v = series.values
     obs = np.isfinite(v)
     observed = v[obs]
@@ -172,10 +175,6 @@ def analyze_dataset(series: SpeedSeries, graph=None) -> dict:
         report["corr_hist_counts"] = chist.tolist()
         report["corr_mean"] = float(rs.mean())
     if graph is not None and rs.size:
-        if graph.n_nodes != series.n_nodes:
-            raise DimensionError(
-                "graph has %d nodes, series has %d" % (graph.n_nodes, series.n_nodes)
-            )
         adj_r, far_r = [], []
         for r, (i, j) in zip(rs, pairs):
             linked = graph.adjacency[i, j] > 0.0 or graph.adjacency[j, i] > 0.0

@@ -227,7 +227,7 @@ def predict(params: ModelParams, graph, x, tod, stats: NormStats,
                 _time_tensor(tod[lo:hi], n, dtype), graph, params)
             outs.append(pred.data)
     out = np.concatenate(outs, axis=0, dtype=np.float64)
-    # normalize(out, stats, direction="inverse") without its two copies
+    # out * stats.std + stats.mean without its two copies
     out *= stats.std
     out += stats.mean
     return out

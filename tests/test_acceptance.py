@@ -20,7 +20,8 @@ from dgcrn import model as M
 from dgcrn import serialize as S
 from dgcrn import tensor as T
 from dgcrn import training as TR
-from dgcrn.cli import main, run_gradcheck
+from dgcrn.cli import main
+from dgcrn.commands import run_gradcheck
 from dgcrn.config import apply_ablation, default_config
 from dgcrn.conv import supports
 from dgcrn.generator import GeneratorParams, generate

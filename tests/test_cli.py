@@ -2,6 +2,9 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from dgcrn import metrics as MT
 from dgcrn import model as M
 from dgcrn import serialize as S
 from dgcrn import training as TR
-from dgcrn.cli import _load_series, _setup_threads, main
+from dgcrn.cli import _THREAD_VARS, _setup_threads, main
+from dgcrn.commands import _load_series
 from dgcrn.config import default_config
 from dgcrn.data import NormStats, SpeedSeries
 from dgcrn.graphs import StaticGraph
@@ -83,6 +87,21 @@ def test_setup_threads_defaults_and_respects_existing(monkeypatch):
     assert "positive integer" in _setup_threads()
     monkeypatch.setenv("DGCRN_THREADS", "abc")
     assert "positive integer" in _setup_threads()
+
+
+def test_numpy_loads_only_after_thread_caps():
+    # main sets the BLAS caps from DGCRN_THREADS, so importing the CLI must
+    # not load numpy (nor yaml, which the config loader brings in)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, dgcrn.cli; print(sorted({'numpy', 'yaml'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done
+    env["DGCRN_THREADS"] = "2"
+    done = subprocess.run([sys.executable, "-m", "dgcrn.cli", "gradcheck"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_help_lists_config_keys(capsys):
@@ -185,7 +204,7 @@ def test_ablation_flag_equals_config_switch(workdir, tmp_path):
     flagged = tmp_path / "flagged"
     assert _train(workdir, flagged, "--ablation", "w/o-dg") == 0
     spelled_cfg = tmp_path / "spelled.yaml"
-    base = open(workdir["cfg"], encoding="utf-8").read()
+    base = Path(workdir["cfg"]).read_text(encoding="utf-8")
     spelled_cfg.write_text(base.replace("model:\n", "model:\n  beta_mix: 0.0\n"),
                            encoding="utf-8")
     spelled = tmp_path / "spelled"

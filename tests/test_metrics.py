@@ -206,6 +206,15 @@ def test_analyze_dataset_degenerate():
         M.analyze_dataset(SpeedSeries(np.full((5, 2), np.nan), 300, 0))
 
 
+def test_analyze_dataset_rejects_graph_of_other_size():
+    # checked where the graph enters, also when no node pair is usable
+    t = np.arange(30.0)
+    for v in (t[:, None], np.stack([t, 2.0 * t], axis=1)):
+        with pytest.raises(DimensionError, match="graph has 5 nodes, series has %d"
+                           % v.shape[1]):
+            M.analyze_dataset(SpeedSeries(v, 300, 0), StaticGraph(np.eye(5)))
+
+
 def test_render_analysis_smoke():
     rng = np.random.default_rng(3)
     series = SpeedSeries(rng.uniform(20, 60, (50, 4)), 300, 0)
