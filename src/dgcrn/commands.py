@@ -41,7 +41,7 @@ def _load_graph(cfg):
         raise ConfigError("data.distances is not set; point it at a distance "
                           "CSV or a cached graph .bin")
     if path.endswith(".bin"):
-        return S.load_graph_bin(path)
+        return S.load_graph_bin(path, cfg.data.kappa)
     return G.build_adjacency(G.load_distance_csv(path), cfg.data.kappa)
 
 

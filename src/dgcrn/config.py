@@ -82,10 +82,6 @@ class AppConfig:
         return self
 
 
-def default_config() -> AppConfig:
-    return AppConfig()
-
-
 def coerce(label: str, want, value):
     """`value` checked against the type `want`; ints widen to float."""
     if want is bool:
@@ -133,7 +129,7 @@ def load_config(path=None) -> AppConfig:
     """Defaults, overridden by the YAML file at `path` when given."""
     import yaml  # here, so that reading a checkpoint does not load the YAML parser
 
-    cfg = default_config()
+    cfg = AppConfig()
     if path is None:
         return cfg
     try:
@@ -243,7 +239,7 @@ _FIELD_HELP = {
 
 def config_help_text() -> str:
     """Every config key with its default, for --help output."""
-    cfg = default_config()
+    cfg = AppConfig()
     sections = (("model", cfg.model), ("train", cfg.train),
                 ("data", cfg.data), ("eval", cfg.eval))
     lines = ["config keys (section.key, default, meaning):"]

@@ -363,10 +363,6 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
-
-
 def _from_iso(text: str) -> int:
     try:
         d = datetime.fromisoformat(text)
@@ -375,13 +371,6 @@ def _from_iso(text: str) -> int:
     if d.tzinfo is None:
         d = d.replace(tzinfo=timezone.utc)
     return int(d.timestamp())
-
-
-def write_speed_csv(series: SpeedSeries, path):
-    """`timestamp,<node...>` rows; missing entries are left empty."""
-    write_csv(path, ["timestamp"] + [str(i) for i in range(series.n_nodes)],
-              ([_iso(ts)] + ["" if not np.isfinite(v) else repr(float(v)) for v in row]
-               for ts, row in zip(series.timestamps(), series.values)))
 
 
 def _speed_header(names):

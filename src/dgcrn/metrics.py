@@ -6,58 +6,67 @@ percent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WEEK_SECONDS, SpeedSeries, exact_header, read_csv, write_csv
+from .data import WEEK_SECONDS, SpeedSeries, write_csv
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
 
-def masked_metrics(pred, truth, mask):
-    """(mae, rmse, mape_percent, n_observed) over mask>0, or None if empty.
-
-    Past the mask test it holds two compressed arrays: |err|, which gives
-    MAE, then MAPE as |err|/|truth| (= |err/truth|) in the truth copy, then
-    RMSE as |err|^2 (= err^2) in place.
-    """
+def masked_sums(pred, truth, mask):
+    """4 x rows sums along the last (node) axis over mask > 0, rows being
+    the leading shape: the count, sum |e|, sum e^2 and sum |e/truth| for
+    e = pred - truth. Unobserved entries enter no operation, and a row's
+    sums read only that row. Past the mask it holds one float64 buffer."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     m = np.asarray(mask) > 0
     if pred.shape != truth.shape or pred.shape != m.shape:
-        raise DimensionError(
-            "pred %r, truth %r, mask %r must share a shape"
-            % (pred.shape, truth.shape, m.shape)
-        )
-    n = int(np.count_nonzero(m))
-    if n == 0:
+        raise DimensionError("pred %r, truth %r, mask %r must share a shape"
+                             % (pred.shape, truth.shape, m.shape))
+    buf = np.subtract(pred, truth, out=np.empty(m.shape), where=m)
+    np.divide(buf, truth, out=buf, where=m)
+    np.absolute(buf, out=buf, where=m)
+    ratio = np.add.reduce(buf, axis=-1, where=m)
+    np.subtract(pred, truth, out=buf, where=m)
+    np.absolute(buf, out=buf, where=m)
+    err = np.add.reduce(buf, axis=-1, where=m)
+    np.square(buf, out=buf, where=m)
+    sq = np.add.reduce(buf, axis=-1, where=m)
+    return np.stack([np.count_nonzero(m, axis=-1), err, sq, ratio])
+
+
+def metrics_from_sums(sums):
+    """(mae, rmse, mape_percent, n_observed) of all `masked_sums` rows,
+    totalled exactly by `math.fsum`, or None if none is observed."""
+    count, err, sq, ratio = map(math.fsum, sums.reshape(4, -1))
+    if count == 0:
         return None
-    err = pred[m]
-    t = truth[m]
-    err -= t
-    np.abs(err, out=err)
-    mae = float(err.mean())
-    np.abs(t, out=t)
-    np.divide(err, t, out=t)
-    mape = float(100.0 * t.mean())
-    np.square(err, out=err)
-    rmse = float(np.sqrt(err.mean()))
-    return mae, rmse, mape, n
+    return err / count, math.sqrt(sq / count), 100.0 * (ratio / count), int(count)
+
+
+def masked_metrics(pred, truth, mask):
+    """(mae, rmse, mape_percent, n_observed) over mask > 0, or None if empty."""
+    return metrics_from_sums(masked_sums(pred, truth, mask))
+
+
+def horizon_rows(model_name: str, sums):
+    """Rows (model, horizon, mae, rmse, mape, n) from 4 x S x Q sums, one
+    per horizon (1-based) with an observed entry."""
+    rows = []
+    for q in range(sums.shape[2]):
+        got = metrics_from_sums(sums[:, :, q])
+        if got is not None:
+            rows.append((model_name, q + 1) + got)
+    return rows
 
 
 def per_horizon_metrics(model_name: str, pred, truth, mask):
-    """Rows (model, horizon, mae, rmse, mape, n) for each non-empty step.
-
-    pred/truth/mask: S x Q x N arrays; horizon is 1-based.
-    """
-    rows = []
-    for q in range(pred.shape[1]):
-        got = masked_metrics(pred[:, q], truth[:, q], mask[:, q])
-        if got is None:
-            continue
-        mae, rmse, mape, n = got
-        rows.append((model_name, q + 1, mae, rmse, mape, n))
-    return rows
+    """`horizon_rows` of S x Q x N arrays, summed one horizon at a time."""
+    sums = [masked_sums(pred[:, q], truth[:, q], mask[:, q]) for q in range(pred.shape[1])]
+    return horizon_rows(model_name, np.stack(sums, axis=-1))
 
 
 # -- baselines ---------------------------------------------------------------------
@@ -239,19 +248,11 @@ def write_analysis_csv(path, report: dict):
 
 # -- report output ------------------------------------------------------------------
 
-_REPORT_HEADER = ["model", "horizon", "mae", "rmse", "mape", "n_observed"]
-
 
 def write_report_csv(path, rows):
-    write_csv(path, _REPORT_HEADER,
+    write_csv(path, ["model", "horizon", "mae", "rmse", "mape", "n_observed"],
               ([model, horizon, repr(float(mae)), repr(float(rmse)), repr(float(mape)), n]
                for model, horizon, mae, rmse, mape, n in rows))
-
-
-def load_report_csv(path):
-    kinds = (str, int, float, float, float, int)
-    return read_csv(path, exact_header(_REPORT_HEADER),
-                    lambda row: tuple(kind(v) for kind, v in zip(kinds, row)))
 
 
 def format_report_table(rows) -> str:

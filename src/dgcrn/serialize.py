@@ -243,7 +243,8 @@ def save_graph_bin(path, graph: StaticGraph, kappa: float | None = None):
     write_container(path, MAGIC_GRAPH, records)
 
 
-def load_graph_bin(path) -> StaticGraph:
+def load_graph_bin(path, kappa: float | None = None) -> StaticGraph:
+    """The cached graph; given `kappa`, a file built with another one fails."""
     records = read_container(path, MAGIC_GRAPH)
     named = dict(records)
     if "adjacency" not in named or isinstance(named["adjacency"], bytes):
@@ -259,4 +260,8 @@ def load_graph_bin(path) -> StaticGraph:
     if meta.get("n_nodes") != graph.n_nodes:
         raise ConfigError("%s: metadata says %r nodes but the adjacency has %d"
                           % (path, meta.get("n_nodes"), graph.n_nodes))
+    built = meta.get("kappa")
+    if kappa is not None and built is not None and built != kappa:
+        raise ConfigError("%s: graph was built with kappa %r but data.kappa is %r"
+                          % (path, built, kappa))
     return graph

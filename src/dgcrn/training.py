@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import NormStats, WindowedDataset, exact_header, normalize, read_csv, write_csv
+from .data import NormStats, WindowedDataset, normalize, write_csv
 from .errors import ConfigError, DegenerateInputError, NumericError
-from .metrics import masked_metrics, per_horizon_metrics
+from .metrics import horizon_rows, masked_sums, metrics_from_sums
 from .model import ModelParams, decode, encode, named_parameters, zero_grads
 
 
@@ -207,41 +207,47 @@ def train_step(params: ModelParams, graph, batch, stats: NormStats,
     return float(loss.item()), grad_norm
 
 
-def predict(params: ModelParams, graph, x, tod, stats: NormStats,
-            batch_size: int = 64) -> np.ndarray:
-    """Raw-unit forecasts, S x Q x N float64, decoder always feeding itself.
-
-    Each batch goes straight into `encode` and its final state straight
-    into `decode`, so under `no_grad` neither outlives the decoder's first
-    cell step. The batch outputs stay in the model's dtype until one
-    float64 array is built from them, which is denormalized in place.
-    """
+def _forecasts(params: ModelParams, graph, x, tod, batch_size: int):
+    """Yield (sample slice, model-dtype forecasts) per batch, decoder feeding
+    itself. The batch goes straight into `encode` and its final state into
+    `decode`, so under `no_grad` neither outlives the first decoder step."""
     dtype = params.readout[0].data.dtype
-    n = x.shape[2]
-    outs = []
-    with T.no_grad():
-        for lo in range(0, x.shape[0], batch_size):
-            hi = min(lo + batch_size, x.shape[0])
-            pred = decode(
-                encode(T.Tensor(np.ascontiguousarray(x[lo:hi], dtype=dtype)), graph, params),
-                _time_tensor(tod[lo:hi], n, dtype), graph, params)
-            outs.append(pred.data)
-    out = np.concatenate(outs, axis=0, dtype=np.float64)
-    # out * stats.std + stats.mean without its two copies
+    for lo in range(0, x.shape[0], batch_size):
+        rows = slice(lo, lo + batch_size)
+        with T.no_grad():
+            out = decode(encode(T.Tensor(np.ascontiguousarray(x[rows], dtype)), graph, params),
+                         _time_tensor(tod[rows], x.shape[2], dtype), graph, params).data
+        yield rows, out
+
+
+def _to_raw(out, stats: NormStats):
+    # out * stats.std + stats.mean without its two copies; out is float64
     out *= stats.std
     out += stats.mean
     return out
 
 
+def predict(params: ModelParams, graph, x, tod, stats: NormStats,
+            batch_size: int = 64) -> np.ndarray:
+    """Raw-unit forecasts, S x Q x N float64: the model-dtype batches are
+    joined into one float64 array, denormalized in place."""
+    outs = [out for _, out in _forecasts(params, graph, x, tod, batch_size)]
+    return _to_raw(np.concatenate(outs, axis=0, dtype=np.float64), stats)
+
+
 def evaluate(params: ModelParams, graph, samples, stats: NormStats,
              batch_size: int = 64, model_name: str = "model"):
-    """Masked metrics on a sample set: (overall, per-horizon rows)."""
-    preds = predict(params, graph, samples.x, samples.tod, stats, batch_size)
-    overall = masked_metrics(preds, samples.y, samples.mask)
+    """Masked metrics on a sample set: (overall, per-horizon rows). Each
+    batch's raw forecasts are reduced to their `masked_sums` and dropped."""
+    sums = []
+    for rows, out in _forecasts(params, graph, samples.x, samples.tod, batch_size):
+        sums.append(masked_sums(_to_raw(out.astype(np.float64), stats),
+                                samples.y[rows], samples.mask[rows]))
+    sums = np.concatenate(sums, axis=1)
+    overall = metrics_from_sums(sums)
     if overall is None:
         raise DegenerateInputError("evaluation set has no observed labels")
-    rows = per_horizon_metrics(model_name, preds, samples.y, samples.mask)
-    return overall, rows
+    return overall, horizon_rows(model_name, sums)
 
 
 def _snapshot(params: ModelParams):
@@ -304,18 +310,11 @@ def fit(params: ModelParams, graph, dataset: WindowedDataset, cfg: TrainConfig,
 
 # -- training log -------------------------------------------------------------------
 
-_LOG_HEADER = ["epoch", "train_mae", "val_mae", "val_rmse", "val_mape",
-               "seconds", "horizon_i", "ss_prob"]
-
 
 def write_training_log(path, history):
-    write_csv(path, _LOG_HEADER,
+    write_csv(path, ["epoch", "train_mae", "val_mae", "val_rmse", "val_mape", "seconds",
+                     "horizon_i", "ss_prob"],
               ([epoch, repr(float(tr)), repr(float(vm)), repr(float(vr)),
                 repr(float(vp)), repr(float(sec)), hor, repr(float(sp))]
                for epoch, tr, vm, vr, vp, sec, hor, sp in history))
 
-
-def load_training_log(path):
-    kinds = (int, float, float, float, float, float, int, float)
-    return read_csv(path, exact_header(_LOG_HEADER),
-                    lambda row: tuple(kind(v) for kind, v in zip(kinds, row)))

@@ -22,7 +22,7 @@ from dgcrn import tensor as T
 from dgcrn import training as TR
 from dgcrn.cli import main
 from dgcrn.commands import run_gradcheck
-from dgcrn.config import apply_ablation, default_config
+from dgcrn.config import AppConfig, apply_ablation
 from dgcrn.conv import supports
 from dgcrn.generator import GeneratorParams, generate
 from dgcrn.model import HyperParams
@@ -157,7 +157,7 @@ def test_05_curriculum_truncates_decoder_work(monkeypatch):
 
 
 def _crit6_config():
-    cfg = default_config()
+    cfg = AppConfig()
     m, t = cfg.model, cfg.train
     m.hidden, m.emb_dim, m.hyper_dim = 16, 8, 8
     m.hops, m.hyper_hops = 2, 1

@@ -9,16 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgcrn import data as D
-from dgcrn import metrics as MT
 from dgcrn import model as M
 from dgcrn import serialize as S
 from dgcrn import training as TR
 from dgcrn.cli import _THREAD_VARS, _setup_threads, main
 from dgcrn.commands import _load_series
-from dgcrn.config import default_config
+from dgcrn.config import AppConfig
 from dgcrn.data import NormStats, SpeedSeries
 from dgcrn.graphs import StaticGraph
+
+from csvfiles import load_report_csv, load_training_log, write_speed_csv
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def _weights(path):
 
 
 def _log_sans_seconds(path):
-    return [r[:5] + r[6:] for r in TR.load_training_log(path)]
+    return [r[:5] + r[6:] for r in load_training_log(path)]
 
 
 def test_setup_threads_defaults_and_respects_existing(monkeypatch):
@@ -175,11 +175,34 @@ def test_build_graph_no_source(tmp_path, capsys):
     assert "distance" in capsys.readouterr().err
 
 
+def test_cached_graph_of_another_kappa_is_one_error_line(workdir, tmp_path, capsys):
+    built = tmp_path / "built.yaml"
+    built.write_text("data:\n  kappa: 0.5\n", encoding="utf-8")
+    assert main(["build-graph", str(workdir["data"] / "distances.csv"),
+                 "--config", str(built), "--out", str(tmp_path / "g")]) == 0
+    graph = tmp_path / "g" / "graph.bin"
+    capsys.readouterr()
+
+    def analyze(kappa):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("data:\n  speeds: %s\n  distances: %s\n  kappa: %r\n"
+                       % (workdir["data"] / "speeds.bin", graph, kappa), encoding="utf-8")
+        return main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "an")])
+
+    assert analyze(0.1) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: %s: graph was built with kappa 0.5 but data.kappa is 0.1" % graph]
+    assert analyze(0.5) == 0
+    # a graph file that records no kappa loads whatever data.kappa says
+    S.save_graph_bin(graph, S.load_graph_bin(graph))
+    assert analyze(0.1) == 0
+
+
 def test_train_writes_artifacts(workdir, tmp_path):
     out = tmp_path / "run"
     assert _train(workdir, out) == 0
     assert (out / "checkpoint.ckpt").exists()
-    rows = TR.load_training_log(str(out / "training_log.csv"))
+    rows = load_training_log(str(out / "training_log.csv"))
     assert len(rows) == 1
     doc = json.loads((out / "train.manifest.json").read_text())
     assert doc["command"] == "train"
@@ -250,7 +273,7 @@ def test_eval_roundtrip(workdir, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "model" in text and "horizon" in text
     assert "overall" in text
-    rows = MT.load_report_csv(str(out / "report.csv"))
+    rows = load_report_csv(str(out / "report.csv"))
     assert [r[1] for r in rows] == [1, 2]
     assert all(r[0] == "DGCRN" for r in rows)
     assert (out / "eval.manifest.json").exists()
@@ -260,7 +283,7 @@ def test_eval_roundtrip(workdir, tmp_path, capsys):
                "--out", str(only1), "--horizons", "1"])
     assert rc == 0
     capsys.readouterr()
-    assert [r[1] for r in MT.load_report_csv(str(only1 / "report.csv"))] == [1]
+    assert [r[1] for r in load_report_csv(str(only1 / "report.csv"))] == [1]
 
 
 def test_eval_names_model_after_ablation(workdir, tmp_path, capsys):
@@ -270,7 +293,7 @@ def test_eval_names_model_after_ablation(workdir, tmp_path, capsys):
                "--out", str(tmp_path / "ev")])
     assert rc == 0
     capsys.readouterr()
-    rows = MT.load_report_csv(str(tmp_path / "ev" / "report.csv"))
+    rows = load_report_csv(str(tmp_path / "ev" / "report.csv"))
     assert all(r[0] == "w/o-cl" for r in rows)
 
 
@@ -400,9 +423,9 @@ def test_forged_binary_is_one_error_line(workdir, tmp_path, capsys, forge, key, 
 def test_load_series_zero_as_missing(tmp_path):
     # the 0.0-as-missing sentinel applies alike to both speed file kinds
     series = SpeedSeries(np.array([[0.0, 4.0], [5.0, 6.0]]), 300, 0)
-    D.write_speed_csv(series, tmp_path / "speeds.csv")
+    write_speed_csv(series, tmp_path / "speeds.csv")
     S.save_speed_bin(tmp_path / "speeds.bin", series)
-    cfg = default_config()
+    cfg = AppConfig()
     for name in ("speeds.csv", "speeds.bin"):
         cfg.data.speeds = str(tmp_path / name)
         cfg.data.zero_as_missing = False
@@ -424,7 +447,7 @@ def test_bench_reports_three_models(workdir, tmp_path, capsys):
                "--out", str(out), "--quiet"])
     assert rc == 0
     assert "persistence" in capsys.readouterr().out
-    rows = MT.load_report_csv(str(out / "report.csv"))
+    rows = load_report_csv(str(out / "report.csv"))
     assert {r[0] for r in rows} == {"DGCRN", "HA", "persistence"}
     assert (out / "bench.manifest.json").exists()
     assert (out / "checkpoint.ckpt").exists()
@@ -462,7 +485,7 @@ def test_bench_rejects_weekless_clock_before_training(workdir, tmp_path, monkeyp
     monkeypatch.setattr(TR, "fit", no_fit)
     values = np.random.default_rng(0).uniform(20.0, 70.0, (200, 6))
     speeds = tmp_path / "speeds.csv"
-    D.write_speed_csv(SpeedSeries(values, 13, 0), speeds)
+    write_speed_csv(SpeedSeries(values, 13, 0), speeds)
     cfg = tmp_path / "bench.yaml"
     cfg.write_text((workdir["root"] / "train.yaml").read_text(encoding="utf-8").replace(
         str(workdir["data"] / "speeds.bin"), str(speeds)), encoding="utf-8")
@@ -481,10 +504,10 @@ def test_eval_of_bench_checkpoint_matches_bench_report(workdir, tmp_path, capsys
     assert main(["eval", str(benched / "checkpoint.ckpt"), "--config", workdir["cfg"],
                  "--out", str(evaluated)]) == 0
     capsys.readouterr()
-    bench_rows = [r for r in MT.load_report_csv(str(benched / "report.csv"))
+    bench_rows = [r for r in load_report_csv(str(benched / "report.csv"))
                   if r[0] == "DGCRN"]
     assert [r[1] for r in bench_rows] == [1, 2]
-    assert MT.load_report_csv(str(evaluated / "report.csv")) == bench_rows
+    assert load_report_csv(str(evaluated / "report.csv")) == bench_rows
 
 
 def test_analyze(workdir, tmp_path, capsys):

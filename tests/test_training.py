@@ -1,6 +1,7 @@
 """Optimizer, schedules, loss, and the training loop."""
 import copy
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,11 +10,14 @@ import pytest
 from dgcrn import model as M
 from dgcrn import tensor as T
 from dgcrn import training as TR
-from dgcrn.data import NormStats, SpeedSeries, build_dataset, synth_distances, synth_generate
+from dgcrn.data import (NormStats, SpeedSeries, build_dataset, impute_last, make_windows,
+                        synth_distances, synth_generate)
 from dgcrn.errors import ConfigError, DegenerateInputError, NumericError
 from dgcrn.graphs import build_adjacency
+from dgcrn.metrics import masked_metrics, per_horizon_metrics
 from dgcrn.model import HyperParams, init_model, named_parameters
 
+from csvfiles import load_training_log
 from oracles import adam_ref
 
 
@@ -510,6 +514,53 @@ def test_evaluate_returns_overall_and_rows():
     assert [r[1] for r in rows] == list(range(1, params.hp.output_len + 1))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_is_bitwise_the_metrics_of_the_whole_forecast(dtype):
+    # at every batch size, the metrics of the whole forecast from predict
+    graph = build_adjacency(synth_distances(4, seed=5), kappa=0.1)
+    rng = np.random.default_rng(4)
+    values = rng.uniform(20.0, 60.0, (100, 4))
+    values[rng.random(values.shape) < 0.2] = np.nan  # masked labels, stored as 0.0
+    ds = build_dataset(SpeedSeries(values, 300, 0), 2, 3, "ratio", 0.7, 0.1, 0.2)
+    params = init_model(HyperParams(hidden=3, emb_dim=2, hyper_dim=2, hops=1, hyper_hops=1,
+                                    input_len=2, output_len=3), 4, seed=0, dtype=dtype)
+    test = ds.test
+    assert len(test) % 7 == 2 and not test.mask.all()  # a ragged last batch of 7
+    preds = TR.predict(params, graph, test.x, test.tod, ds.stats)
+    want = (masked_metrics(preds, test.y, test.mask),
+            per_horizon_metrics("m", preds, test.y, test.mask))
+    for batch_size in (64, 7, 1):
+        assert TR.evaluate(params, graph, test, ds.stats, batch_size, "m") == want, batch_size
+
+
+def test_evaluate_peak_does_not_grow_with_the_split():
+    # 1,000 then 4,000 windows of 60 sensors, Q=2, batch 64, a tiny model: a
+    # whole S x Q x N forecast would be most of evaluate's traced peak and
+    # grow it ~3x; one batch at a time it stays near one batch's worth
+    n, q = 60, 2
+    graph = build_adjacency(synth_distances(n, seed=0), kappa=0.1)
+    rng = np.random.default_rng(0)
+    values = rng.uniform(20.0, 60.0, (4000 + q + 1, n))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    stats = NormStats.fit(values)
+    filled = impute_last(SpeedSeries(values, 300, 0), np.nanmean(values, axis=0)).values
+    params = init_model(HyperParams(hidden=2, emb_dim=2, hyper_dim=2, hops=1, hyper_hops=1,
+                                    input_len=2, output_len=q), n, seed=0)
+    peaks = []
+    for s in (1000, 4000):
+        steps = s + q + 1
+        samples = make_windows(SpeedSeries(values[:steps], 300, 0), 2, q, stats,
+                               filled[:steps])
+        tracemalloc.start()
+        try:
+            TR.evaluate(params, graph, samples, stats, batch_size=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 # -- fit loop ----------------------------------------------------------------------
 
 
@@ -524,14 +575,14 @@ def test_fit_runs_and_logs(tmp_path):
     # log round trip
     path = tmp_path / "log.csv"
     TR.write_training_log(path, history)
-    back = TR.load_training_log(path)
+    back = load_training_log(path)
     assert len(back) == 2
     assert back[0][0] == 1
     for a, b in zip(back[0], history[0]):
         assert a == pytest.approx(b)
     (tmp_path / "bad.csv").write_text("epoch,val\n")
     with pytest.raises(ConfigError):
-        TR.load_training_log(tmp_path / "bad.csv")
+        load_training_log(tmp_path / "bad.csv")
 
 
 @pytest.mark.parametrize("row, match", [
@@ -543,7 +594,7 @@ def test_load_training_log_rejects_bad_rows(tmp_path, row, match):
     TR.write_training_log(path, [(1, 2.0, 3.0, 4.0, 5.0, 6.0, 1, 0.5)])
     path.write_text(path.read_text() + row + "\n")
     with pytest.raises(ConfigError, match=match):
-        TR.load_training_log(path)
+        load_training_log(path)
 
 
 def test_fit_early_stopping_and_best_restore(monkeypatch):
