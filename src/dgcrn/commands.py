@@ -169,36 +169,35 @@ def _cmd_eval(args, cfg, out):
 def run_gradcheck(seed: int = 0):
     """End-to-end finite-difference check on a tiny 64-bit model.
 
-    Pushes a random batch through encoder, decoder and masked-MAE loss,
-    then compares every parameter's backpropagated gradient against a
-    central difference. Returns (max relative error, parameters checked).
+    Differentiates `training.batch_loss`, the loss `train_step` backpropagates,
+    on a random batch over three decoder steps with coins (False, True): step 2
+    is fed step 1's forecast and step 3 the label. Returns (max relative error
+    against a central difference, parameter tensors checked).
     """
     hp = M.HyperParams(hidden=4, emb_dim=3, hyper_dim=3, hops=2, hyper_hops=2,
-                       input_len=2, output_len=2)
+                       input_len=2, output_len=3)
     n_nodes, batch = 3, 2
     rng = np.random.default_rng(seed)
     graph = G.build_adjacency(D.synth_distances(n_nodes, seed), kappa=0.1)
     params = M.init_model(hp, n_nodes, seed=seed, dtype=np.float64)
-    x = T.Tensor(rng.normal(0.0, 1.0, (batch, hp.input_len, n_nodes, 2)))
-    tq = T.Tensor(rng.uniform(0.0, 1.0, (batch, hp.output_len, n_nodes, 1)))
+    x = rng.normal(0.0, 1.0, (batch, hp.input_len, n_nodes, 2))
+    tod = rng.uniform(0.0, 1.0, (batch, hp.output_len))
     y_raw = rng.uniform(20.0, 60.0, (batch, hp.output_len, n_nodes))
-    mask = np.ones_like(y_raw)
-    mask[0, 0, 1] = 0.0
+    mask = np.ones(y_raw.shape, dtype=bool)
+    mask[0, 0, 1] = False
     stats = D.NormStats(mean=40.0, std=12.0)
 
-    def forward():
-        h = M.encode(x, graph, params)
-        pred = M.decode(h, tq, graph, params)
-        return TR.masked_mae_loss(pred, y_raw, mask, stats)
+    def loss():
+        return TR.batch_loss(params, graph, (x, y_raw, tod, mask), stats,
+                             hp.output_len, (False, True))
 
-    loss = forward()
     M.zero_grads(params)
-    loss.backward()
+    loss().backward()
     named = M.named_parameters(params)
     analytic = {name: p.grad.copy() for name, p in named}
     worst = 0.0
     for name, p in named:
-        fd = T.finite_diff_grad(lambda _: forward(), p)
+        fd = T.finite_diff_grad(lambda _: loss(), p)
         worst = max(worst, T.max_rel_err(analytic[name], fd))
     return worst, len(named)
 
@@ -227,12 +226,14 @@ def _cmd_bench(args, cfg, out):
     samples = getattr(dataset, cfg.eval.split)
     _, rows = TR.evaluate(params, graph, samples, dataset.stats,
                           batch_size=cfg.eval.batch_size, model_name="DGCRN")
-    rows += MT.per_horizon_metrics("HA", ha.predict_at(samples.target_ts),
-                                   samples.y, samples.mask)
-    rows += MT.per_horizon_metrics(
-        "persistence",
-        MT.persistence_forecast(samples.x, dataset.stats, dataset.output_len),
-        samples.y, samples.mask)
+    # the baselines are forecast and scored one batch of samples at a time
+    bs = cfg.eval.batch_size
+    batches = [slice(lo, lo + bs) for lo in range(0, len(samples), bs)]
+    for name, forecast in (("HA", lambda r: ha.predict_at(samples.target_ts[r])),
+                           ("persistence", lambda r: MT.persistence_forecast(
+                               samples.x[r], dataset.stats, dataset.output_len))):
+        rows += MT.batch_metrics(name, ((forecast(r), samples.y[r], samples.mask[r])
+                                        for r in batches))[1]
 
     report_path = _write_report(out, horizons, rows)
     ckpt_path, log_path = _save_run(out, "", params, dataset, history, best_val)

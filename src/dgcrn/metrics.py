@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -52,21 +53,20 @@ def masked_metrics(pred, truth, mask):
     return metrics_from_sums(masked_sums(pred, truth, mask))
 
 
-def horizon_rows(model_name: str, sums):
-    """Rows (model, horizon, mae, rmse, mape, n) from 4 x S x Q sums, one
-    per horizon (1-based) with an observed entry."""
+def batch_metrics(model_name: str, batches):
+    """(overall, per-horizon rows) of (pred, truth, mask) batches, each
+    S_i x Q x N. Each batch is reduced to its `masked_sums` and dropped
+    before the next is drawn, so one batch's arrays are held at a time.
+    overall is as in `metrics_from_sums`; a row is (model, horizon, mae,
+    rmse, mape, n), one per horizon (1-based) with an observed entry. The
+    totals are exact, so they do not depend on how the samples are batched."""
+    sums = np.concatenate(list(starmap(masked_sums, batches)), axis=1)
     rows = []
     for q in range(sums.shape[2]):
         got = metrics_from_sums(sums[:, :, q])
         if got is not None:
             rows.append((model_name, q + 1) + got)
-    return rows
-
-
-def per_horizon_metrics(model_name: str, pred, truth, mask):
-    """`horizon_rows` of S x Q x N arrays, summed one horizon at a time."""
-    sums = [masked_sums(pred[:, q], truth[:, q], mask[:, q]) for q in range(pred.shape[1])]
-    return horizon_rows(model_name, np.stack(sums, axis=-1))
+    return metrics_from_sums(sums), rows
 
 
 # -- baselines ---------------------------------------------------------------------

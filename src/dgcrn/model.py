@@ -4,7 +4,7 @@ Every dense map of a plain GRU is replaced by a dual-directional K-hop graph
 convolution over the static graph and the per-step generated dynamic graph.
 The encoder consumes P steps of (speed, time-of-day); the decoder starts
 from a zero speed input and rolls the horizon forward, feeding back either
-its own prediction or the label (scheduled sampling).
+its own prediction or the label (scheduled sampling, on its caller's coins).
 """
 from __future__ import annotations
 
@@ -309,16 +309,16 @@ def readout(h, params: ModelParams):
     return out.reshape(h.shape[0], h.shape[1])
 
 
-def decode(h, time_seq, graph, params: ModelParams, teacher=None,
-           sampling_prob: float = 0.0, horizon=None, rng=None):
+def decode(h, time_seq, graph, params: ModelParams, teacher=None, coins=(),
+           horizon=None):
     """Roll the decoder forward from the encoder state h.
 
     h is the running state: the first cell step replaces it, so under
     `no_grad` the encoder state is freed then, unless the caller still
     holds it (pass `decode(encode(...), ...)` to let it go).
-    time_seq: B x Q x N x 1 target-step time-of-day. When sampling_prob > 0,
-    one coin per step, drawn from rng, decides whether the whole batch takes
-    its next input from teacher (B x Q x N labels in normalized units).
+    time_seq: B x Q x N x 1 target-step time-of-day. Counting steps from 1,
+    a true coins[q] feeds step q+2 the teacher's step q+1 (teacher: B x Q x N
+    labels in normalized units), else step q+1's forecast, as past the coins.
     Predictions for the first `horizon` steps (1 to Q, default Q) are
     returned as B x horizon x N, still in normalized units.
     """
@@ -335,7 +335,7 @@ def decode(h, time_seq, graph, params: ModelParams, teacher=None,
         pred = readout(h, params)
         preds.append(pred)
         if q + 1 < horizon:
-            if sampling_prob > 0.0 and rng.random() < sampling_prob:
+            if q < len(coins) and coins[q]:
                 prev_speed = T.Tensor(teacher.data[:, q, :, None])
             else:
                 # feed back the model's own prediction, keeping the graph

@@ -416,18 +416,9 @@ def gru_update(z: Tensor, h: Tensor, c: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes with leading-axis broadcasting."""
-    # numpy would treat a 1-D operand as a vector
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(
-            "matmul requires ndim >= 2; got shapes %r and %r" % (a.shape, b.shape)
-        )
+    # numpy rejects shapes that do not align; `encode` checks each batch
     x, y = a.data, b.data
-    try:
-        data = np.matmul(x, y)
-    except ValueError:
-        raise DimensionError(
-            "matmul: shapes %r and %r do not align" % (a.shape, b.shape)
-        ) from None
+    data = np.matmul(x, y)
 
     def grad_a(g):
         if y.shape[-1] == 1:

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import NormStats, WindowedDataset, normalize, write_csv
 from .errors import ConfigError, DegenerateInputError, NumericError
-from .metrics import horizon_rows, masked_sums, metrics_from_sums
+from .metrics import batch_metrics
 from .model import ModelParams, decode, encode, named_parameters, zero_grads
 
 
@@ -51,8 +51,6 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * np.square(g)
-            if self.lr == 0.0:
-                continue  # moments still advance; weights stay bit-identical
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             p.data -= (self.lr * update).astype(p.data.dtype, copy=False)
 
@@ -173,13 +171,34 @@ def _time_tensor(tod, n_nodes, dtype):
     return T.Tensor(np.broadcast_to(arr, (s, q, n_nodes, 1)))
 
 
+def forward(params: ModelParams, graph, x, tod, teacher=None, coins=(), horizon=None):
+    """Normalized forecasts B x horizon x N of a batch of windows (x: B x P x N
+    x 2, tod: B x Q); teacher, coins and horizon are `decode`'s. The one place
+    a batch becomes model tensors: a contiguous model-dtype copy goes straight
+    into `encode` and its final state into `decode`, so under `no_grad`
+    neither outlives the first decoder step."""
+    dtype = params.readout[0].data.dtype
+    return decode(encode(T.Tensor(np.ascontiguousarray(x, dtype)), graph, params),
+                  _time_tensor(tod, x.shape[2], dtype), graph, params,
+                  teacher=teacher, coins=coins, horizon=horizon)
+
+
+def batch_loss(params: ModelParams, graph, batch, stats: NormStats, horizon: int, coins):
+    """`masked_mae_loss` of `forward` over the first `horizon` steps of batch =
+    (x, y, tod, mask) numpy arrays, y in raw units; a true coin feeds the
+    decoder that step's label (normalized) in place of its own forecast."""
+    x, y, tod, mask = batch
+    teacher = T.Tensor(normalize(y, stats).astype(params.readout[0].data.dtype))
+    pred = forward(params, graph, x, tod, teacher, coins, horizon)
+    return masked_mae_loss(pred, y[:, :horizon], mask[:, :horizon], stats)
+
+
 def train_step(params: ModelParams, graph, batch, stats: NormStats,
                opt: Adam, cfg: TrainConfig, state: TrainState):
     """One optimization step. batch = (x, y, tod, mask) numpy arrays.
 
     Returns (loss value, gradient norm before clipping).
     """
-    x, y, tod, mask = batch
     state.iteration += 1
     q_len = params.hp.output_len
     horizon = (curriculum_horizon(state.iteration, cfg.step_size, q_len)
@@ -187,18 +206,12 @@ def train_step(params: ModelParams, graph, batch, stats: NormStats,
     p_teacher = scheduled_sampling_prob(state.iteration, cfg.ss_decay_tau)
     state.horizon = horizon
     state.sampling_prob = p_teacher
-
-    dtype = params.readout[0].data.dtype
-    n = x.shape[2]
-    x_t = T.Tensor(np.ascontiguousarray(x, dtype=dtype))
-    teacher = T.Tensor(normalize(y, stats).astype(dtype))
-    time_seq = _time_tensor(tod, n, dtype)
+    # one coin per decoder step after the first; none drawn once p is 0
+    coins = (tuple(state.rng.random() < p_teacher for _ in range(horizon - 1))
+             if p_teacher > 0.0 else ())
 
     zero_grads(params)
-    h = encode(x_t, graph, params)
-    pred = decode(h, time_seq, graph, params, teacher=teacher,
-                  sampling_prob=p_teacher, horizon=horizon, rng=state.rng)
-    loss = masked_mae_loss(pred, y[:, :horizon], mask[:, :horizon], stats)
+    loss = batch_loss(params, graph, batch, stats, horizon, coins)
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss at iteration %d" % state.iteration)
     loss.backward()
@@ -209,14 +222,11 @@ def train_step(params: ModelParams, graph, batch, stats: NormStats,
 
 def _forecasts(params: ModelParams, graph, x, tod, batch_size: int):
     """Yield (sample slice, model-dtype forecasts) per batch, decoder feeding
-    itself. The batch goes straight into `encode` and its final state into
-    `decode`, so under `no_grad` neither outlives the first decoder step."""
-    dtype = params.readout[0].data.dtype
+    itself."""
     for lo in range(0, x.shape[0], batch_size):
         rows = slice(lo, lo + batch_size)
         with T.no_grad():
-            out = decode(encode(T.Tensor(np.ascontiguousarray(x[rows], dtype)), graph, params),
-                         _time_tensor(tod[rows], x.shape[2], dtype), graph, params).data
+            out = forward(params, graph, x[rows], tod[rows]).data
         yield rows, out
 
 
@@ -238,16 +248,13 @@ def predict(params: ModelParams, graph, x, tod, stats: NormStats,
 def evaluate(params: ModelParams, graph, samples, stats: NormStats,
              batch_size: int = 64, model_name: str = "model"):
     """Masked metrics on a sample set: (overall, per-horizon rows). Each
-    batch's raw forecasts are reduced to their `masked_sums` and dropped."""
-    sums = []
-    for rows, out in _forecasts(params, graph, samples.x, samples.tod, batch_size):
-        sums.append(masked_sums(_to_raw(out.astype(np.float64), stats),
-                                samples.y[rows], samples.mask[rows]))
-    sums = np.concatenate(sums, axis=1)
-    overall = metrics_from_sums(sums)
+    batch's raw forecasts are reduced by `batch_metrics` and dropped."""
+    overall, rows = batch_metrics(model_name, (
+        (_to_raw(out.astype(np.float64), stats), samples.y[idx], samples.mask[idx])
+        for idx, out in _forecasts(params, graph, samples.x, samples.tod, batch_size)))
     if overall is None:
         raise DegenerateInputError("evaluation set has no observed labels")
-    return overall, horizon_rows(model_name, sums)
+    return overall, rows
 
 
 def _snapshot(params: ModelParams):

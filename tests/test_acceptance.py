@@ -195,13 +195,13 @@ def test_06_learning_beats_baselines_and_static_ablation(tmp_path):
 
     pers = MT.persistence_forecast(dataset.test.x, dataset.stats,
                                    dataset.output_len)
-    pers_h3 = [r[2] for r in MT.per_horizon_metrics(
-        "persistence", pers, dataset.test.y, dataset.test.mask) if r[1] == 3][0]
+    pers_h3 = [r[2] for r in MT.batch_metrics(
+        "persistence", [(pers, dataset.test.y, dataset.test.mask)])[1] if r[1] == 3][0]
     seg_train, _, _ = D.split(series, "days", 14, 2, 4)
     ha = MT.HistoricalAverage.fit(seg_train)
-    ha_h3 = [r[2] for r in MT.per_horizon_metrics(
-        "HA", ha.predict_at(dataset.test.target_ts), dataset.test.y,
-        dataset.test.mask) if r[1] == 3][0]
+    ha_h3 = [r[2] for r in MT.batch_metrics(
+        "HA", [(ha.predict_at(dataset.test.target_ts), dataset.test.y,
+                dataset.test.mask)])[1] if r[1] == 3][0]
 
     assert full[0] < pers_h3, \
         "seed 1 horizon-3 MAE %.4f not below persistence %.4f" % (full[0], pers_h3)
@@ -359,7 +359,7 @@ def test_10_historical_average_on_real_data():
     # only the labels, masks and target times are read: x's scaling is moot
     windows = D.make_windows(seg_test, 12, 12, D.NormStats(0.0, 1.0), seg_test.values)
     pred = ha.predict_at(windows.target_ts)
-    rows = MT.per_horizon_metrics("HA", pred, windows.y, windows.mask)
+    _, rows = MT.batch_metrics("HA", [(pred, windows.y, windows.mask)])
     assert len(rows) == 12
     for _, horizon, mae, _, _, _ in rows:
         assert abs(mae - 4.16) <= 0.05, \

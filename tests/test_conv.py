@@ -6,7 +6,6 @@ import pytest
 
 from dgcrn import tensor as T
 from dgcrn.conv import ConvParams, dgconv_forward, dual_dgconv, fold, supports
-from dgcrn.errors import DimensionError
 from dgcrn.generator import dynamic_adjacency
 from dgcrn.graphs import StaticGraph
 
@@ -298,5 +297,5 @@ def test_conv_errors():
     # a support whose node count differs from the input's
     for beta, gamma in ((0.0, 1.0), (1.0, 0.0)):
         fwd, _ = supports(g, dyn, beta, gamma, h4.dtype)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):
             dgconv_forward(h4, fwd, p)

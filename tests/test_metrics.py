@@ -1,5 +1,6 @@
 """Masked metrics, weekly-average and persistence baselines, analysis, reports."""
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_per_horizon_rows_skip_empty():
     truth = rng.uniform(10, 60, (s, q, n))
     mask = np.ones((s, q, n))
     mask[:, 1] = 0.0  # horizon 2 has nothing observed
-    rows = M.per_horizon_metrics("model", pred, truth, mask)
+    _, rows = M.batch_metrics("model", [(pred, truth, mask)])
     assert [r[1] for r in rows] == [1, 3]
     assert all(r[0] == "model" for r in rows)
     mae1, _, _, n1 = M.masked_metrics(pred[:, 0], truth[:, 0], mask[:, 0])
@@ -257,6 +258,37 @@ def test_load_report_csv_rejects_bad_rows(tmp_path, row, match):
         load_report_csv(path)
 
 
+def test_batch_metrics_is_the_same_at_any_batching():
+    rng = np.random.default_rng(8)
+    shape = (50, 3, 7)
+    truth = rng.uniform(10.0, 70.0, shape)
+    pred = truth + rng.normal(0.0, 5.0, shape)
+    mask = rng.random(shape) < 0.8
+    overall, rows = M.batch_metrics("m", [(pred, truth, mask)])
+    assert overall == M.masked_metrics(pred, truth, mask)
+    assert rows == [("m", q + 1) + M.masked_metrics(pred[:, q], truth[:, q], mask[:, q])
+                    for q in range(3)]
+    for b in (1, 7, 64):
+        got = M.batch_metrics("m", ((pred[lo:lo + b], truth[lo:lo + b], mask[lo:lo + b])
+                                    for lo in range(0, 50, b)))
+        assert got == (overall, rows), b
+
+
+def test_batch_metrics_drops_each_batch_before_drawing_the_next():
+    rng = np.random.default_rng(9)
+    alive = []
+
+    def draw():
+        assert all(ref() is None for ref in alive), "previous batch still held"
+        truth = rng.uniform(10.0, 70.0, (4, 2, 5))
+        batch = (truth + 1.0, truth, truth > 20.0)
+        alive[:] = [weakref.ref(a) for a in batch]
+        return batch
+
+    overall, rows = M.batch_metrics("m", (draw() for _ in range(5)))
+    assert overall[3] > 0 and [r[1] for r in rows] == [1, 2]
+
+
 def test_format_report_table_alignment():
     rows = [("dgcrn", 1, 1.0, 2.0, 3.0, 10), ("longer-name", 12, 4.0, 5.0, 6.0, 999)]
     text = M.format_report_table(rows)
@@ -271,7 +303,7 @@ def test_masked_metrics_perfect_prediction_is_zero():
     rng = np.random.default_rng(6)
     truth = rng.uniform(10, 60, (5, 3, 2))
     mask = np.ones_like(truth)
-    rows = M.per_horizon_metrics("oracle", truth, truth, mask)
+    _, rows = M.batch_metrics("oracle", [(truth, truth, mask)])
     assert len(rows) == 3
     for _, _, mae, rmse, mape, _ in rows:
         assert mae == 0.0 and rmse == 0.0 and mape == 0.0
@@ -309,7 +341,7 @@ def test_persistence_on_linear_ramp():
     stats = NormStats.fit(v)
     got = make_windows(series, 4, 3, stats, v)
     fc = M.persistence_forecast(got.x, stats, 3)
-    rows = M.per_horizon_metrics("persistence", fc, got.y, got.mask)
+    _, rows = M.batch_metrics("persistence", [(fc, got.y, got.mask)])
     for k, (_, h, mae, rmse, _, _) in enumerate(rows, start=1):
         assert h == k
         assert mae == pytest.approx(k, abs=1e-9)

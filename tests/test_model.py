@@ -257,18 +257,30 @@ def test_decode_teacher_forcing_modes():
     teacher_b = T.Tensor(rng.normal(size=(2, 3, 3)))
 
     # free-running decode ignores teacher values entirely
-    free_a = M.decode(h0, tod, g, params, teacher=teacher_a, sampling_prob=0.0)
-    free_b = M.decode(h0, tod, g, params, teacher=teacher_b, sampling_prob=0.0)
+    free_a = M.decode(h0, tod, g, params, teacher=teacher_a, coins=())
+    free_b = M.decode(h0, tod, g, params, teacher=teacher_b, coins=(False, False))
     assert np.array_equal(free_a.data, free_b.data)
 
     # pure teacher forcing: step q+1 consumes teacher step q, so the
     # prediction after the first step depends on the labels
-    forced_a = M.decode(h0, tod, g, params, teacher=teacher_a, sampling_prob=1.0,
-                        rng=np.random.default_rng(0))
-    forced_b = M.decode(h0, tod, g, params, teacher=teacher_b, sampling_prob=1.0,
-                        rng=np.random.default_rng(0))
+    forced_a = M.decode(h0, tod, g, params, teacher=teacher_a, coins=(True, True))
+    forced_b = M.decode(h0, tod, g, params, teacher=teacher_b, coins=(True, True))
     assert np.array_equal(forced_a.data[:, 0], forced_b.data[:, 0])
     assert not np.array_equal(forced_a.data[:, 1], forced_b.data[:, 1])
+
+    # coins (False, True): step 2 feeds back step 1's forecast and ignores the
+    # teacher; step 3 reads teacher step 2 and no other label
+    mixed_a = M.decode(h0, tod, g, params, teacher=teacher_a, coins=(False, True))
+    assert np.array_equal(mixed_a.data[:, :2], free_a.data[:, :2])
+    teacher_c = T.Tensor(teacher_a.data.copy())
+    teacher_c.data[:, 1] += 1.0
+    mixed_c = M.decode(h0, tod, g, params, teacher=teacher_c, coins=(False, True))
+    assert np.array_equal(mixed_c.data[:, :2], mixed_a.data[:, :2])
+    assert not np.array_equal(mixed_c.data[:, 2], mixed_a.data[:, 2])
+    teacher_c = T.Tensor(teacher_a.data.copy())
+    teacher_c.data[:, [0, 2]] += 1.0
+    mixed_c = M.decode(h0, tod, g, params, teacher=teacher_c, coins=(False, True))
+    assert np.array_equal(mixed_c.data, mixed_a.data)
 
 
 def test_decode_horizon_and_errors():

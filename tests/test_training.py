@@ -14,7 +14,7 @@ from dgcrn.data import (NormStats, SpeedSeries, build_dataset, impute_last, make
                         synth_distances, synth_generate)
 from dgcrn.errors import ConfigError, DegenerateInputError, NumericError
 from dgcrn.graphs import build_adjacency
-from dgcrn.metrics import masked_metrics, per_horizon_metrics
+from dgcrn.metrics import batch_metrics, masked_metrics
 from dgcrn.model import HyperParams, init_model, named_parameters
 
 from csvfiles import load_training_log
@@ -204,6 +204,54 @@ def test_train_step_curriculum_off_uses_full_horizon():
     batch = (ds.train.x[:4], ds.train.y[:4], ds.train.tod[:4], ds.train.mask[:4])
     TR.train_step(params, graph, batch, ds.stats, opt, cfg, state)
     assert state.horizon == params.hp.output_len
+
+
+def _spy_coins(monkeypatch):
+    seen = []
+    real_decode = TR.decode
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["coins"])
+        return real_decode(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "decode", spy)
+    return seen
+
+
+def test_train_step_draws_one_coin_per_decoder_step_after_the_first(monkeypatch):
+    # the coins decode receives are rng.random() < p replayed on a copy of the
+    # state's generator, one per step after the first, and the generator ends
+    # where the replay does; the curriculum grows the horizon 1, 2, 2, 3, 3, 4
+    params, graph, ds = _tiny_setup(hp_kw={"output_len": 4})
+    cfg = TR.TrainConfig(batch_size=4, step_size=2, ss_decay_tau=2.0)
+    opt = TR.Adam(named_parameters(params), lr=cfg.learning_rate)
+    state = TR.TrainState(rng=np.random.default_rng(0))
+    batch = (ds.train.x[:4], ds.train.y[:4], ds.train.tod[:4], ds.train.mask[:4])
+    seen = _spy_coins(monkeypatch)
+    for _ in range(6):
+        replay = copy.deepcopy(state.rng)
+        TR.train_step(params, graph, batch, ds.stats, opt, cfg, state)
+        p = state.sampling_prob
+        assert 0.0 < p < 1.0
+        assert seen[-1] == tuple(replay.random() < p for _ in range(state.horizon - 1))
+        assert state.rng.bit_generator.state == replay.bit_generator.state
+    assert [len(c) for c in seen] == [0, 1, 1, 2, 2, 3]
+    assert {True, False} <= {c for coins in seen for c in coins}
+
+
+def test_train_step_draws_no_coin_once_the_teacher_probability_is_zero(monkeypatch):
+    params, graph, ds = _tiny_setup()
+    cfg = TR.TrainConfig(batch_size=4, curriculum=False, ss_decay_tau=1e-3)
+    opt = TR.Adam(named_parameters(params), lr=cfg.learning_rate)
+    state = TR.TrainState(rng=np.random.default_rng(0))
+    before = copy.deepcopy(state.rng.bit_generator.state)
+    batch = (ds.train.x[:4], ds.train.y[:4], ds.train.tod[:4], ds.train.mask[:4])
+    seen = _spy_coins(monkeypatch)
+    for _ in range(2):
+        TR.train_step(params, graph, batch, ds.stats, opt, cfg, state)
+    assert state.sampling_prob == 0.0 and state.horizon == params.hp.output_len > 1
+    assert seen == [(), ()]
+    assert state.rng.bit_generator.state == before
 
 
 def test_train_step_poisoned_weights_raise():
@@ -528,7 +576,7 @@ def test_evaluate_is_bitwise_the_metrics_of_the_whole_forecast(dtype):
     assert len(test) % 7 == 2 and not test.mask.all()  # a ragged last batch of 7
     preds = TR.predict(params, graph, test.x, test.tod, ds.stats)
     want = (masked_metrics(preds, test.y, test.mask),
-            per_horizon_metrics("m", preds, test.y, test.mask))
+            batch_metrics("m", [(preds, test.y, test.mask)])[1])
     for batch_size in (64, 7, 1):
         assert TR.evaluate(params, graph, test, ds.stats, batch_size, "m") == want, batch_size
 
