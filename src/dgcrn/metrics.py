@@ -19,23 +19,25 @@ from .errors import ConfigError, DegenerateInputError, DimensionError
 def masked_sums(pred, truth, mask):
     """4 x rows sums along the last (node) axis over mask > 0, rows being
     the leading shape: the count, sum |e|, sum e^2 and sum |e/truth| for
-    e = pred - truth. Unobserved entries enter no operation, and a row's
-    sums read only that row. Past the mask it holds one float64 buffer."""
+    e = pred - truth. Unobserved entries enter no arithmetic: e is written
+    only where the mask holds, into a zero-filled buffer, so they add zeros
+    to each sum, and a row's sums read only that row. Past the mask it holds
+    one float64 buffer."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     m = np.asarray(mask) > 0
     if pred.shape != truth.shape or pred.shape != m.shape:
         raise DimensionError("pred %r, truth %r, mask %r must share a shape"
                              % (pred.shape, truth.shape, m.shape))
-    buf = np.subtract(pred, truth, out=np.empty(m.shape), where=m)
+    buf = np.subtract(pred, truth, out=np.zeros(m.shape), where=m)
+    np.absolute(buf, out=buf)
+    err = np.add.reduce(buf, axis=-1)
     np.divide(buf, truth, out=buf, where=m)
-    np.absolute(buf, out=buf, where=m)
-    ratio = np.add.reduce(buf, axis=-1, where=m)
+    np.absolute(buf, out=buf)
+    ratio = np.add.reduce(buf, axis=-1)
     np.subtract(pred, truth, out=buf, where=m)
-    np.absolute(buf, out=buf, where=m)
-    err = np.add.reduce(buf, axis=-1, where=m)
-    np.square(buf, out=buf, where=m)
-    sq = np.add.reduce(buf, axis=-1, where=m)
+    np.square(buf, out=buf)
+    sq = np.add.reduce(buf, axis=-1)
     return np.stack([np.count_nonzero(m, axis=-1), err, sq, ratio])
 
 

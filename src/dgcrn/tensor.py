@@ -16,9 +16,15 @@ A leaf is its own node. Each rule captures at forward time exactly the
 arrays it reads (the operands of a product, the output of `tanh`), so an
 output that no rule reads is freed by reference count as soon as the
 forward drops its `Tensor`, and rebinding a leaf's `.data` between forward
-and backward does not change the gradient. No rule holds its own node, so
-a tape never forms a reference cycle and a forward that is never
-backpropagated is freed by reference count as soon as it is dropped.
+and backward does not change the gradient. An output that is a cheap
+elementwise function of arrays the tape holds anyway can be rebuilt instead
+of held: `self_loop_normalize` keeps its input and row sums, and its rule
+and the rule of every product it is the left operand of read the graph
+through the node's `_Rebuilt` record. That record gives the forward's
+array while anything keeps it alive, else one rebuild by the same numpy
+calls, held only until the backward sweep passes the node. No rule holds
+its own node, so a tape never forms a reference cycle and a forward that is
+never backpropagated is freed by reference count as soon as it is dropped.
 
 Gradients accumulate additively across fan-out and are zeroed explicitly by
 the caller. After `backward` only leaf tensors keep `.grad`: interior nodes
@@ -123,8 +129,9 @@ class Tensor:
         unroll P+Q cell steps so recursion depth is not safe here. Each
         interior node hands its grad to every parent node through that
         parent's rule, which reads only the arrays it captured in the
-        forward, then drops its grad, parents and rules, so the tape is freed
-        by reference count during the sweep. Only leaves keep `.grad`, which
+        forward or rebuilds from them, then drops its grad, parents, rules
+        and any rebuilt output, so the tape is freed by reference count
+        during the sweep. Only leaves keep `.grad`, which
         may be shared or read-only.
         """
         if self.data.size != 1:
@@ -154,7 +161,7 @@ class Tensor:
                 g = node.grad
                 for p, rule in zip(node._parents, node._backward):
                     _accum(p, rule(g))
-                node.grad, node._parents, node._backward = None, (), None
+                node.grad, node._parents, node._backward, node.rebuilt = None, (), None, None
 
     # -- elementwise arithmetic -------------------------------------------
 
@@ -231,25 +238,50 @@ class _Node:
     """The tape record of one op output: its grad, parent nodes and rules.
 
     It holds the output array only through a weak reference, so the array
-    lives exactly as long as the forward or a rule keeps it.
+    lives exactly as long as the forward or a rule keeps it. A node whose
+    output the rules rebuild instead of holding has a `_Rebuilt` record in
+    `rebuilt` (else None), through which those rules read it.
     """
 
-    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "_data")
+    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "_data", "rebuilt")
     requires_grad = True
     _node = None  # a node stands for itself as an op's parent
 
-    def __init__(self, data: np.ndarray, parents: tuple, rules: tuple):
+    def __init__(self, data: np.ndarray, parents: tuple, rules: tuple, rebuilt=None):
         self.grad = None
         self._parents = parents
         self._backward = rules
         self.shape, self.dtype = data.shape, data.dtype
         self._data = weakref.ref(data)
+        self.rebuilt = rebuilt
 
     @property
     def data(self) -> np.ndarray:
         """The output while anything keeps it alive, else an empty array."""
         data = self._data()
         return np.empty(0, self.dtype) if data is None else data
+
+
+class _Rebuilt:
+    """An op output that its readers rebuild rather than the tape holding it.
+
+    Calling it gives the forward's array while anything keeps that alive,
+    else the output of `build()`, built once and held until the backward
+    sweep passes the op's node, which drops this record.
+    """
+
+    __slots__ = ("_live", "_build", "_held")
+
+    def __init__(self, data: np.ndarray, build):
+        self._live, self._build, self._held = weakref.ref(data), build, None
+
+    def __call__(self) -> np.ndarray:
+        data = self._live()
+        if data is None:
+            if self._held is None:
+                self._held = self._build()
+            data = self._held
+        return data
 
 
 def _accum(t, g):
@@ -267,7 +299,7 @@ def _accum(t, g):
         t.grad = t.grad + g
 
 
-def _from_op(data: np.ndarray, parents: tuple, rules: tuple) -> Tensor:
+def _from_op(data: np.ndarray, parents: tuple, rules: tuple, rebuilt=None) -> Tensor:
     # rules[i] maps the output gradient to parents[i]'s gradient before
     # unbroadcasting; the node keeps the rules of the parents that require a
     # gradient, and no rule holds the node, so a tape has no cycles
@@ -280,7 +312,7 @@ def _from_op(data: np.ndarray, parents: tuple, rules: tuple) -> Tensor:
                 kept.append(rule)
         if nodes:
             out.requires_grad = True
-            out._node = _Node(out.data, tuple(nodes), tuple(kept))
+            out._node = _Node(out.data, tuple(nodes), tuple(kept), rebuilt)
     return out
 
 
@@ -382,24 +414,43 @@ def tanh_product(a: Tensor, b: Tensor, alpha: float) -> Tensor:
     return _from_op(data, (a, b), (lambda g: pre(g) * y, lambda g: pre(g) * x))
 
 
-def self_loop_normalize(m: Tensor) -> Tensor:
-    """Rows of M + I divided by their sums, 1 + rowsum(M)."""
-    n = m.data.shape[-1]
+def _with_self_loops(x: np.ndarray) -> np.ndarray:
     # adding 0.0 in C order gives the layout and signed zeros of M + eye(n)
-    data = np.add(m.data, 0.0, order="C")
+    n = x.shape[-1]
+    data = np.add(x, 0.0, order="C")
     data.reshape(data.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
+    return data
+
+
+def self_loop_normalize(m: Tensor) -> Tensor:
+    """Rows of M + I divided by their sums, 1 + rowsum(M).
+
+    The tape keeps M and the row sums, not the output: once the forward drops
+    it, its readers rebuild it from them by the same numpy calls (`_Rebuilt`).
+    """
+    x = m.data
+    data = _with_self_loops(x)
     deg = data.sum(axis=-1, keepdims=True)
     data /= deg  # in place: the op allocates one B x N x N array
+    if not (_grad_enabled and m.requires_grad):
+        return Tensor(data)
+
+    def build():
+        out = _with_self_loops(x)
+        out /= deg
+        return out
+
+    graph = _Rebuilt(data, build)
 
     def rule(g):
         # g / deg + sum(-g * data / deg), in that order, on one buffer
         r = np.negative(g)
-        r *= data
+        r *= graph()
         r /= deg
         s = r.sum(axis=-1, keepdims=True)
         return np.add(np.divide(g, deg, out=r), s, out=r)
 
-    return _from_op(data, (m,), (rule,))
+    return _from_op(data, (m,), (rule,), graph)
 
 
 def gru_update(z: Tensor, h: Tensor, c: Tensor) -> Tensor:
@@ -427,7 +478,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # BLAS takes a contiguous 2-D weight faster than its transposed view
         return np.matmul(g, np.ascontiguousarray(y.T) if y.ndim == 2 else _swap_last(y))
 
-    return _from_op(data, (a, b), (grad_a, lambda g: np.matmul(_swap_last(x), g)))
+    # a rebuilt left operand (a normalized graph) is read through its record,
+    # so that this rule does not keep it alive
+    rebuilt = None if a._node is None else a._node.rebuilt
+    left = (lambda: x) if rebuilt is None else rebuilt
+    return _from_op(data, (a, b), (grad_a, lambda g: np.matmul(_swap_last(left()), g)))
 
 
 # -- assembly ops ------------------------------------------------------------

@@ -650,7 +650,7 @@ _LIVENESS = [
     ("scaled_add", lambda u, v: T.scaled_add(u, [(0.5, v)]), (False, False), False),
     ("relu_tanh_diff", lambda u, v: T.relu_tanh_diff(u, v, 3.0), (False, False), True),
     ("tanh_product", lambda u, v: T.tanh_product(u, v, 3.0), (True, True), True),
-    ("self_loop_normalize", T.self_loop_normalize, (False,), True),
+    ("self_loop_normalize", T.self_loop_normalize, (True,), False),
     ("gru_update", T.gru_update, (True, True, True), False),
     ("matmul", T.matmul, (True, True), False),
     ("matmul_const", lambda u: T.matmul(_CONST, u), (False,), False),

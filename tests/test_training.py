@@ -300,6 +300,104 @@ def test_train_step_tape_needs_no_cyclic_gc(monkeypatch):
     assert loss.grad is None and loss._parents == ()
 
 
+def _graph_setup(filter_mode="hadamard", dtype=np.float64):
+    # P = Q = 3, so a full-horizon forward runs 6 cell steps
+    params, graph, ds = _tiny_setup(n=4, t=100, dtype=dtype, hp_kw={
+        "input_len": 3, "output_len": 3, "hops": 2, "filter_mode": filter_mode})
+    batch = (ds.train.x[:2], ds.train.y[:2], ds.train.tod[:2], ds.train.mask[:2])
+    return params, graph, ds.stats, batch
+
+
+@pytest.mark.parametrize("filter_mode", ["hadamard", "matmul", "frozen"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rebuilt_graphs_give_the_gradients_of_held_ones(monkeypatch, filter_mode, dtype):
+    # a spy that keeps each cell step's normalized pair alive makes every rule
+    # read the forward's arrays, as a tape that held the graphs did; without
+    # it the sweep rebuilds each graph once, and the gradients are bitwise equal
+    params, graph, stats, batch = _graph_setup(filter_mode, dtype)
+    real_step, real_loops = M.cell_step, T._with_self_loops
+    held, builds, sweeping = [], [], [False]
+
+    def holding_step(*args):
+        h, pair = real_step(*args)
+        held.append(pair)
+        return h, pair
+
+    def counting_loops(x):
+        builds.append(sweeping[0])
+        return real_loops(x)
+
+    monkeypatch.setattr(T, "_with_self_loops", counting_loops)
+
+    def grads(hold):
+        M.zero_grads(params)
+        builds.clear()
+        with monkeypatch.context() as patch:
+            if hold:
+                patch.setattr(M, "cell_step", holding_step)
+            loss = TR.batch_loss(params, graph, batch, stats, 3, (True, False))
+        sweeping[0] = True
+        loss.backward()
+        sweeping[0] = False
+        held.clear()
+        return [p.grad.tobytes() for _, p in named_parameters(params)], builds.count(True)
+
+    held_grads, held_builds = grads(hold=True)
+    rebuilt_grads, rebuilds = grads(hold=False)
+    assert (held_builds, rebuilds) == (0, 2 * 6)
+    assert rebuilt_grads == held_grads
+
+
+def test_batch_loss_keeps_no_normalized_graph(monkeypatch):
+    # once the forward returns, the tape holds each step's raw graph and row
+    # sums, not its two normalized graphs
+    params, graph, stats, batch = _graph_setup()
+    refs = []
+    real_step = M.cell_step
+
+    def recording_step(*args):
+        h, pair = real_step(*args)
+        refs.extend(weakref.ref(t.data) for t in pair)
+        return h, pair
+
+    monkeypatch.setattr(M, "cell_step", recording_step)
+    loss = TR.batch_loss(params, graph, batch, stats, 3, ())
+    assert len(refs) == 2 * 6
+    assert [r() is None for r in refs] == [True] * (2 * 6)
+    loss.backward()
+    assert all(p.grad is not None for _, p in named_parameters(params))
+
+
+def test_backward_holds_one_rebuilt_graph_per_direction(monkeypatch):
+    # the sweep rebuilds a step's graph at its first reader and drops it once
+    # it passes the graph's node, before it reaches the products of the step
+    # before: when a graph is rebuilt, the only other rebuilt graph alive is
+    # the other direction of the same step
+    params, graph, stats, batch = _graph_setup()
+    real_loops = T._with_self_loops
+    rebuilt, others, sweeping = [], [], [False]
+
+    def recording_loops(x):
+        data = real_loops(x)
+        if sweeping[0]:
+            # the backward graph normalizes a transposed view of the raw graph
+            raw, forward = (x, True) if x.base is None else (x.base, False)
+            others.append([(r() is raw, fwd == forward)
+                           for d, r, fwd in rebuilt if d() is not None])
+            rebuilt.append((weakref.ref(data), weakref.ref(raw), forward))
+        return data
+
+    monkeypatch.setattr(T, "_with_self_loops", recording_loops)
+    loss = TR.batch_loss(params, graph, batch, stats, 3, ())
+    sweeping[0] = True
+    loss.backward()
+    assert len(rebuilt) == 2 * 6
+    assert [fwd for *_, fwd in rebuilt].count(True) == 6
+    assert all(not alive or alive == [(True, False)] for alive in others)
+    assert sum(alive == [(True, False)] for alive in others) == 6
+    assert [d() is None for d, _, _ in rebuilt] == [True] * (2 * 6)
+
+
 def test_training_reduces_loss_on_learnable_signal():
     params, graph, ds = _tiny_setup(seed=1)
     cfg = TR.TrainConfig(batch_size=16, learning_rate=0.01, curriculum=False, seed=1)
